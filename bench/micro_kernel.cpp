@@ -182,8 +182,8 @@ void BM_InterestTableExchange(benchmark::State& state) {
   for (auto _ : state) {
     t += 5.0;
     const auto now = util::SimTime::seconds(t);
-    a.decay(now, nullptr);
-    b.decay(now, nullptr);
+    a.decay_against(now, {});
+    b.decay_against(now, {});
     a.grow_from(b, now, 5.0);
     b.grow_from(a, now, 5.0);
     benchmark::DoNotOptimize(a.size());
@@ -221,18 +221,26 @@ void BM_RatingStoreMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_RatingStoreMerge);
 
-void BM_RatingStoreSnapshot(benchmark::State& state) {
+/// The link-up reputation exchange: a whole-store merge_from of a
+/// state.range(0)-record peer store. The warm-up merge adopts the half self
+/// lacked, so the timed merges are the repeat-contact steady state.
+void BM_RatingStoreMergeFrom(benchmark::State& state) {
+  const int records = static_cast<int>(state.range(0));
   core::DrmParams drm;
-  core::RatingStore store(drm);
+  core::RatingStore self(drm);
+  core::RatingStore peer(drm);
   util::Rng rng(7);
-  for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-    store.add_message_rating(util::NodeId(i), rng.uniform(0.0, 5.0));
+  for (int i = 0; i < records; ++i) {
+    self.add_message_rating(util::NodeId(2 * i), rng.uniform(0.0, 5.0));
+    peer.add_message_rating(util::NodeId(i), rng.uniform(0.0, 5.0));
   }
+  self.merge_from(peer, util::NodeId(0), util::NodeId(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.snapshot());
+    self.merge_from(peer, util::NodeId(0), util::NodeId(1));
+    benchmark::DoNotOptimize(self.rating_of(util::NodeId(2)));
   }
 }
-BENCHMARK(BM_RatingStoreSnapshot)->Arg(50)->Arg(500);
+BENCHMARK(BM_RatingStoreMergeFrom)->Arg(50)->Arg(500);
 
 void BM_MessageBufferChurn(benchmark::State& state) {
   const auto policy = state.range(0) == 0 ? msg::DropPolicy::kFifoOldest

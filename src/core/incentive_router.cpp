@@ -34,25 +34,32 @@ IncentiveRouter* IncentiveRouter::of(Host& host) {
 
 void IncentiveRouter::on_link_up(Host& self, Host& peer, util::SimTime now, double distance_m) {
   ChitChatRouter::on_link_up(self, peer, now, distance_m);
-  contact_distance_[peer.id()] = distance_m;
+  if (const auto it = find_distance(peer.id()); it != contact_distance_.end()) {
+    it->second = distance_m;
+  } else {
+    contact_distance_.emplace_back(peer.id(), distance_m);
+  }
   // Reputation exchange: absorb the peer's opinions second-hand (§3.3
   // case 2). Opinions about ourselves and about the peer itself are skipped
   // — self-praise must not enter the merge.
   if (world_->drm.enabled) {
     if (IncentiveRouter* other = IncentiveRouter::of(peer); other != nullptr) {
-      // Per-node independent merge, so the peer's records are visited in hash
-      // order directly instead of materializing a sorted snapshot per contact.
-      other->ratings_.for_each([&](routing::NodeId node, double rating) {
-        if (node == self.id() || node == peer.id()) return;
-        ratings_.merge_remote(node, rating);
-      });
+      ratings_.merge_from(other->ratings_, self.id(), peer.id());
     }
   }
 }
 
 void IncentiveRouter::on_link_down(Host& self, Host& peer, util::SimTime now) {
   ChitChatRouter::on_link_down(self, peer, now);
-  contact_distance_.erase(peer.id());
+  if (const auto it = find_distance(peer.id()); it != contact_distance_.end()) {
+    *it = contact_distance_.back();  // lookups scan by id, so order is free
+    contact_distance_.pop_back();
+  }
+}
+
+IncentiveRouter::DistanceList::iterator IncentiveRouter::find_distance(routing::NodeId peer) {
+  return std::find_if(contact_distance_.begin(), contact_distance_.end(),
+                      [peer](const auto& entry) { return entry.first == peer; });
 }
 
 void IncentiveRouter::fill_promise_context(Host& self, PromiseContext& ctx) const {
@@ -95,7 +102,7 @@ double IncentiveRouter::promise_for(Host& self, const routing::Peer& peer,
   const double i_s = software_incentive(world_->incentive, f);
   const double duration_s =
       static_cast<double>(m.size_bytes()) / world_->radio.bitrate_bps;
-  const auto dist_it = contact_distance_.find(peer.id());
+  const auto dist_it = find_distance(peer.id());
   const double distance = dist_it != contact_distance_.end() ? dist_it->second
                                                              : world_->radio.range_m;
   const double i_h = hardware_incentive(world_->incentive, world_->radio,

@@ -1,7 +1,8 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/behavior.h"
 #include "core/enrichment.h"
@@ -109,15 +110,18 @@ class IncentiveRouter final : public routing::ChitChatRouter {
   /// enriching relay, record first-hand, and stamp path ratings on the copy.
   void rate_and_record(routing::Host& self, msg::Message& m);
 
+  using DistanceList = std::vector<std::pair<routing::NodeId, double>>;
+  [[nodiscard]] DistanceList::iterator find_distance(routing::NodeId peer);
+
   const IncentiveWorld* world_;
   BehaviorProfile profile_;
   util::Rng rng_;
   TokenLedger ledger_;
   RatingStore ratings_;
   Enricher enricher_;
-  /// Distance to each currently connected peer; inserted on link-up, erased
-  /// on link-down — per-contact node churn, so arena-pooled.
-  util::arena::PooledMap<routing::NodeId, double> contact_distance_;
+  /// Distance to each currently connected peer; added on link-up, removed on
+  /// link-down. One entry per live neighbor (a handful), so a linear scan.
+  DistanceList contact_distance_;
   /// plan_into scratch (reused across contacts; steady-state allocation-free).
   /// THREADING: member scratch makes plan_into non-reentrant per router; the
   /// staged exchange guarantees exclusion by locking this node's host mutex

@@ -54,7 +54,7 @@ void DtnOperator::subscribe(const std::vector<std::string>& interests, util::Sim
 }
 
 void DtnOperator::decay_weights(util::SimTime now) {
-  router_.interests().decay(now, nullptr);
+  router_.interests().decay_against(now, {});
 }
 
 void DtnOperator::increment_weights(const routing::Peer& peer, util::SimTime now) {

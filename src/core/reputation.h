@@ -1,10 +1,9 @@
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "msg/message.h"
-#include "util/arena.h"
 #include "util/ids.h"
 #include "util/rng.h"
 
@@ -36,7 +35,10 @@ struct DrmParams {
   double rating_noise_sd = 0.25; ///< stddev of judgement noise on each rating
 };
 
-/// A node's local reputation table.
+/// A node's local reputation table: records sorted by NodeId in one vector.
+/// Lookups binary-search; the link-up merge is one linear two-pointer pass.
+/// Not a dense NodeId-indexed array: every node holds one, so a dense table
+/// is nodes² records (DESIGN.md §4).
 class RatingStore {
  public:
   explicit RatingStore(const DrmParams& params) : params_(params) {}
@@ -50,35 +52,44 @@ class RatingStore {
   /// prior opinion adopts the remote value.
   void merge_remote(NodeId rated, double remote_rating);
 
+  /// The link-up reputation exchange: merge_remote every opinion in \p peer
+  /// except those about \p skip_a and \p skip_b (self-praise must not enter
+  /// the merge). Each record merges independently, so one sorted pass gives
+  /// the same values as per-entry merge_remote calls in any order. Grows the
+  /// record vector at most once and merges new records in from the back, so
+  /// it allocates only when the store outgrows its capacity.
+  void merge_from(const RatingStore& peer, NodeId skip_a, NodeId skip_b);
+
   /// Current rating; default_rating when nothing is known.
   [[nodiscard]] double rating_of(NodeId node) const;
-  [[nodiscard]] bool knows(NodeId node) const { return records_.count(node) > 0; }
+  [[nodiscard]] bool knows(NodeId node) const { return find(node) != nullptr; }
   /// Sender trust gate for admission control.
   [[nodiscard]] bool trusted(NodeId node) const;
+  [[nodiscard]] std::size_t size() const { return records_.size(); }
 
-  /// Snapshot for the link-up reputation exchange, sorted by node id.
-  [[nodiscard]] std::vector<std::pair<NodeId, double>> snapshot() const;
-
-  /// Visit every known (node, current rating) pair without allocating.
-  /// Iteration order is the hash map's — use only for order-independent
-  /// operations (the link-up second-hand merge touches each node
-  /// independently, so it qualifies).
+  /// Visit every known (node, current rating) pair in ascending node order,
+  /// without allocating.
   template <class Visitor>
   void for_each(Visitor&& visit) const {
-    for (const auto& [node, rec] : records_) visit(node, rec.value);
+    for (const Record& rec : records_) visit(rec.node, rec.value);
   }
 
   [[nodiscard]] const DrmParams& params() const { return params_; }
 
  private:
   struct Record {
+    NodeId node;
+    std::uint32_t first_hand_count = 0;
     double first_hand_sum = 0.0;
-    std::size_t first_hand_count = 0;
     double value = 0.0;  ///< current effective rating
   };
 
+  [[nodiscard]] const Record* find(NodeId node) const;
+  /// Case 2: r ← (1−α)·clamp(r_remote) + α·r_own.
+  [[nodiscard]] double merged(double own, double remote) const;
+
   DrmParams params_;
-  util::arena::PooledMap<NodeId, Record> records_;
+  std::vector<Record> records_;  ///< ascending by node
 };
 
 /// The simulated user's post-reception judgement of a message (§3.3 and

@@ -1,4 +1,5 @@
 #include <chrono>
+#include <csignal>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -184,6 +185,9 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // A reader that exits first (e.g. the next stage of a shell pipeline) must
+  // not kill the daemon before its trace and metrics files are complete.
+  std::signal(SIGPIPE, SIG_IGN);
   try {
     return run(argc, argv);
   } catch (const std::exception& e) {

@@ -1,6 +1,7 @@
 #include "live/live_node.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/incentive.h"
 #include "core/reputation.h"
@@ -137,15 +138,11 @@ void LiveNode::link_up_actions(PeerState& ps, SimTime now) {
   // growth phase and plan against our strengths.
   wire::InterestDigestFrame digest;
   digest.node = host_.id();
+  // Both tables iterate in ascending id order, so frames are reproducible
+  // (golden tests, tcpdump diffing).
   chitchat_->interests().for_each([&digest](msg::KeywordId k, double w, bool direct) {
     digest.entries.push_back(wire::InterestEntry{k, w, direct});
   });
-  // Hash-order iteration is fine on the wire, but sort for reproducible
-  // frames (golden tests, tcpdump diffing).
-  std::sort(digest.entries.begin(), digest.entries.end(),
-            [](const wire::InterestEntry& a, const wire::InterestEntry& b) {
-              return a.keyword < b.keyword;
-            });
   send_frame(ps, digest);
 
   if (incentive_ != nullptr && world_.drm.enabled) {
@@ -154,10 +151,6 @@ void LiveNode::link_up_actions(PeerState& ps, SimTime now) {
     incentive_->ratings().for_each([&gossip](NodeId node, double rating) {
       gossip.entries.push_back(wire::RatingEntry{node, rating});
     });
-    std::sort(gossip.entries.begin(), gossip.entries.end(),
-              [](const wire::RatingEntry& a, const wire::RatingEntry& b) {
-                return a.node < b.node;
-              });
     send_frame(ps, gossip);
   }
   (void)now;
@@ -303,6 +296,16 @@ void LiveNode::handle_hello(PeerState& ps, const wire::HelloFrame& f, SimTime no
 }
 
 void LiveNode::handle_digest(PeerState& ps, const wire::InterestDigestFrame& f, SimTime now) {
+  // The digest sizes the reconstructed table, so only the agreed pool's ids
+  // and weights the growth algorithm can produce are admitted.
+  const double max_weight = cfg_.scenario.chitchat.max_weight;
+  for (const wire::InterestEntry& e : f.entries) {
+    if (e.keyword.value() >= pool_.size() || !std::isfinite(e.weight) || e.weight < 0.0 ||
+        e.weight > max_weight) {
+      ++rejected_frames_;
+      return;
+    }
+  }
   ps.peer.apply_digest(f, now);
 
   // The peer's direct interests define it as a destination (the simulator's
@@ -314,19 +317,23 @@ void LiveNode::handle_digest(PeerState& ps, const wire::InterestDigestFrame& f, 
   oracle_.set_interests(ps.peer.id(), std::move(directs));
 
   // ChitChat growth phase against the reconstructed table, as on_link_up
-  // would run it in-process.
+  // would run it in-process (growth also refreshes shared last-seen stamps).
   const auto* table = ps.peer.interest_table();
   DTNIC_ASSERT(table != nullptr);
   chitchat_->interests().grow_from(*table, now, cfg_.scenario.scan_interval_s);
-  table->for_each([this, now](msg::KeywordId k, double, bool) {
-    chitchat_->interests().note_seen(k, now);
-  });
 
   plan_and_offer(ps, now);
 }
 
 void LiveNode::handle_gossip(PeerState& ps, const wire::RatingGossipFrame& f) {
   if (incentive_ == nullptr || !world_.drm.enabled) return;
+  // NaN survives the merge's clamp and would poison the store.
+  for (const wire::RatingEntry& e : f.entries) {
+    if (!e.node.valid() || !std::isfinite(e.rating)) {
+      ++rejected_frames_;
+      return;
+    }
+  }
   for (const wire::RatingEntry& e : f.entries) {
     if (e.node == host_.id() || e.node == ps.peer.id()) continue;
     incentive_->ratings().merge_remote(e.node, e.rating);

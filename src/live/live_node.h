@@ -94,7 +94,8 @@ class LiveNode {
   [[nodiscard]] bool link_up(routing::NodeId peer) const;
   [[nodiscard]] std::size_t links_up() const;
   [[nodiscard]] double tokens() const;
-  /// Frames received that failed to decode or failed compatibility gating.
+  /// Frames received that failed to decode, failed compatibility gating, or
+  /// carried out-of-range state (digest keyword ids/weights, NaN ratings).
   [[nodiscard]] std::uint64_t rejected_frames() const { return rejected_frames_; }
 
  private:

@@ -43,13 +43,8 @@ void ChitChatRouter::on_link_up(Host& self, Host& peer, util::SimTime now, doubl
   (void)self; (void)distance_m;
   ChitChatRouter* other = ChitChatRouter::of(peer);
   if (other == nullptr) return;
+  // Growth also refreshes last-seen for every interest the peer shares.
   table_.grow_from(other->table_, now, contact_quantum_.sec());
-  // Refresh last-seen for every interest the peer shares; note_seen is
-  // order-independent, so the peer's slots are visited directly instead of
-  // materializing a sorted entries() snapshot.
-  other->table_.for_each([this, now](msg::KeywordId k, double, bool) {
-    table_.note_seen(k, now);
-  });
 }
 
 double ChitChatRouter::message_strength(const msg::Message& m) const {

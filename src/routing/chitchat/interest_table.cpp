@@ -1,28 +1,45 @@
 #include "routing/chitchat/interest_table.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/assert.h"
 
 namespace dtnic::routing::chitchat {
 
-void InterestTable::add_direct(KeywordId k, SimTime now) {
+InterestTable::Slot& InterestTable::find_or_insert(KeywordId k) {
+  if (has(k)) return slot(k);
   DTNIC_REQUIRE(k.valid());
-  Slot& slot = slots_[k];
-  slot.direct = true;
-  slot.weight = std::max(slot.weight, params_.initial_weight);
-  slot.last_seen_s = now.sec();
+  DTNIC_REQUIRE_MSG(slots_.size() <= std::numeric_limits<std::uint16_t>::max(),
+                    "interest table exceeds 65536 keywords");
+  const std::size_t id = k.value();
+  if (id >= index_.size()) {  // grow both a whole bitmap word at a time
+    present_.resize(id / 64 + 1);
+    index_.resize(present_.size() * 64);
+  }
+  present_[id / 64] |= std::uint64_t{1} << (id % 64);
+  index_[id] = static_cast<std::uint16_t>(slots_.size());
+  Slot& s = slots_.emplace_back();
+  s.keyword = k;
+  return s;
+}
+
+void InterestTable::erase_at(std::size_t pos) {
+  const std::size_t id = slots_[pos].keyword.value();
+  present_[id / 64] &= ~(std::uint64_t{1} << (id % 64));
+  if (pos + 1 != slots_.size()) {
+    slots_[pos] = slots_.back();
+    index_[slots_[pos].keyword.value()] = static_cast<std::uint16_t>(pos);
+  }
+  slots_.pop_back();
+}
+
+void InterestTable::add_direct(KeywordId k, SimTime now) {
+  Slot& s = find_or_insert(k);
+  s.direct = true;
+  s.weight = std::max(s.weight, params_.initial_weight);
+  s.last_seen_s = now.sec();
   ++generation_;
-}
-
-bool InterestTable::has_direct(KeywordId k) const {
-  auto it = slots_.find(k);
-  return it != slots_.end() && it->second.direct;
-}
-
-double InterestTable::weight(KeywordId k) const {
-  auto it = slots_.find(k);
-  return it != slots_.end() ? it->second.weight : 0.0;
 }
 
 double InterestTable::sum_weights(std::span<const KeywordId> keywords) const {
@@ -36,55 +53,44 @@ double InterestTable::mean_weight(std::span<const KeywordId> keywords) const {
   return sum_weights(keywords) / static_cast<double>(keywords.size());
 }
 
-template <class ConnectedHas>
-void InterestTable::decay_impl(SimTime now, ConnectedHas&& connected_has) {
+void InterestTable::decay_against(SimTime now,
+                                  std::span<const InterestTable* const> connected) {
+  // Which of our keywords does some connected table hold? One OR per word.
+  connected_scratch_.assign(present_.size(), 0);
+  for (const InterestTable* table : connected) {
+    const std::size_t words = std::min(present_.size(), table->present_.size());
+    for (std::size_t w = 0; w < words; ++w) connected_scratch_[w] |= table->present_[w];
+  }
   bool changed = false;
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    Slot& slot = it->second;
-    if (connected_has(it->first)) {
+  for (std::size_t pos = 0; pos < slots_.size();) {
+    Slot& s = slots_[pos];
+    const std::size_t id = s.keyword.value();
+    if (((connected_scratch_[id / 64] >> (id % 64)) & 1u) != 0) {
       // A connected device shares I: the weight holds and T_l refreshes.
-      slot.last_seen_s = now.sec();
-      ++it;
+      s.last_seen_s = now.sec();
+      ++pos;
       continue;
     }
-    const double dt = now.sec() - slot.last_seen_s;
+    const double dt = now.sec() - s.last_seen_s;
     // Divisor floored at 1 so decay never amplifies a weight (Algorithm 1
     // divides by β·(T_c − T_l), which would amplify for small gaps).
     const double divisor = std::max(1.0, params_.decay_beta * dt);
-    const double before = slot.weight;
-    if (slot.direct) {
-      slot.weight = (slot.weight - 0.5) / divisor + 0.5;
+    const double before = s.weight;
+    if (s.direct) {
+      s.weight = (s.weight - 0.5) / divisor + 0.5;
     } else {
-      slot.weight = slot.weight / divisor;
+      s.weight = s.weight / divisor;
     }
-    changed = changed || slot.weight != before;
-    slot.last_seen_s = now.sec();  // decay applied up to `now`
-    if (!slot.direct && slot.weight < params_.prune_epsilon) {
-      it = slots_.erase(it);
+    changed = changed || s.weight != before;
+    s.last_seen_s = now.sec();  // decay applied up to `now`
+    if (!s.direct && s.weight < params_.prune_epsilon) {
+      erase_at(pos);  // the swapped-in last slot is visited next
       changed = true;
     } else {
-      ++it;
+      ++pos;
     }
   }
   if (changed) ++generation_;
-}
-
-void InterestTable::decay(SimTime now, const std::function<bool(KeywordId)>& connected_has) {
-  if (connected_has) {
-    decay_impl(now, connected_has);
-  } else {
-    decay_impl(now, [](KeywordId) { return false; });
-  }
-}
-
-void InterestTable::decay_against(SimTime now,
-                                  std::span<const InterestTable* const> connected) {
-  decay_impl(now, [connected](KeywordId k) {
-    for (const InterestTable* table : connected) {
-      if (table->has(k)) return true;
-    }
-    return false;
-  });
 }
 
 int InterestTable::psi(bool self_has, bool self_direct, bool peer_direct) {
@@ -97,42 +103,43 @@ void InterestTable::grow_from(const InterestTable& peer, SimTime now, double con
   DTNIC_REQUIRE(contact_quantum_s >= 0.0);
   const double quantum = std::min(contact_quantum_s, params_.growth_contact_cap_s);
   bool changed = false;
-  for (const auto& [keyword, peer_slot] : peer.slots_) {
-    if (peer_slot.weight <= 0.0) continue;
-    const auto it = slots_.find(keyword);
-    const bool self_has = it != slots_.end();
-    const bool self_direct = self_has && it->second.direct;
-    const int divisor = psi(self_has, self_direct, peer_slot.direct);
-    const double delta = params_.growth_rate * peer_slot.weight * quantum /
-                         static_cast<double>(divisor);
-    if (delta <= 0.0) continue;
-    Slot& slot = slots_[keyword];  // inserts transient slot if absent
-    const double before = slot.weight;
-    slot.weight = std::min(params_.max_weight, slot.weight + delta);
-    slot.last_seen_s = now.sec();
-    changed = changed || !self_has || slot.weight != before;
-  }
+  for_each_present(peer.present_, [&](KeywordId k) {
+    // Copied: inserting below may reallocate slots_, and peer may be *this.
+    const Slot peer_slot = peer.slot(k);
+    const bool self_has = has(k);
+    double delta = 0.0;
+    if (peer_slot.weight > 0.0) {
+      const int divisor = psi(self_has, self_has && slot(k).direct, peer_slot.direct);
+      delta = params_.growth_rate * peer_slot.weight * quantum / static_cast<double>(divisor);
+    }
+    if (delta <= 0.0) {
+      if (self_has) slot(k).last_seen_s = now.sec();
+      return;
+    }
+    Slot& s = find_or_insert(k);  // inserts a transient slot if absent
+    const double before = s.weight;
+    s.weight = std::min(params_.max_weight, s.weight + delta);
+    s.last_seen_s = now.sec();
+    changed = changed || !self_has || s.weight != before;
+  });
   if (changed) ++generation_;
 }
 
-void InterestTable::note_seen(KeywordId k, SimTime now) {
-  auto it = slots_.find(k);
-  if (it != slots_.end()) it->second.last_seen_s = now.sec();
-}
-
 void InterestTable::restore(KeywordId k, double weight, bool direct, SimTime now) {
-  slots_[k] = Slot{weight, direct, now.sec()};
+  Slot& s = find_or_insert(k);
+  s.weight = weight;
+  s.direct = direct;
+  s.last_seen_s = now.sec();
   ++generation_;
 }
 
 std::vector<InterestTable::Entry> InterestTable::entries() const {
   std::vector<Entry> out;
   out.reserve(slots_.size());
-  for (const auto& [keyword, slot] : slots_) {
-    out.push_back(Entry{keyword, slot.weight, slot.direct, SimTime::seconds(slot.last_seen_s)});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Entry& a, const Entry& b) { return a.keyword < b.keyword; });
+  for_each_present(present_, [&](KeywordId k) {
+    const Slot& s = slot(k);
+    out.push_back(Entry{k, s.weight, s.direct, SimTime::seconds(s.last_seen_s)});
+  });
   return out;
 }
 

@@ -6,6 +6,7 @@
 #include <new>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 /// \file arena.h
 /// Size-class pool allocator for the per-tick hot path. Small fixed-size
@@ -82,6 +83,10 @@ struct PoolAllocator {
 template <typename K, typename V>
 using PooledMap = std::unordered_map<K, V, std::hash<K>, std::equal_to<K>,
                                      PoolAllocator<std::pair<const K, V>>>;
+
+/// vector whose (small) storage recycles through the arena.
+template <typename T>
+using PooledVector = std::vector<T, PoolAllocator<T>>;
 
 // All PoolAllocator instances share the same (thread-local) pool, so any two
 // compare equal regardless of value type.

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -154,7 +155,11 @@ TEST(AllocSteadyState, RoutingExchangeTickIsAllocationFree) {
     out.push_back(hosts[(i + 1) % count].get());
     out.push_back(hosts[(i + count - 1) % count].get());
   };
+  // Fast decay and a coarse prune threshold: every contact acquires transient
+  // interests and prunes stale ones, so table slots churn in steady state.
   routing::chitchat::ChitChatParams chitchat;
+  chitchat.decay_beta = 0.05;
+  chitchat.prune_epsilon = 0.01;
   constexpr std::uint64_t kMB = 1024 * 1024;
   const auto t0 = util::SimTime::zero();
   util::MessageId::underlying next_id = 0;
@@ -168,6 +173,13 @@ TEST(AllocSteadyState, RoutingExchangeTickIsAllocationFree) {
         oracle, chitchat, util::SimTime::seconds(5.0), &world, core::BehaviorProfile{},
         rng.fork(static_cast<std::uint64_t>(i)));
     router->set_direct_interests(interests, t0);
+    // First-hand opinions on overlapping node sets: warm-up merges spread
+    // them around the ring, so every store grows through sorted inserts.
+    for (int j = 0; j < 12; ++j) {
+      router->ratings().add_message_rating(
+          routing::NodeId(static_cast<util::NodeId::underlying>(100 + (i * 7 + j) % 50)),
+          rng.uniform(2.5, 5.0));
+    }
     host->set_router(std::move(router));
     for (int m = 0; m < 16; ++m) {
       msg::Message msg(util::MessageId(next_id++), id, t0, kMB / 4 + rng.below(kMB / 4),
@@ -182,6 +194,13 @@ TEST(AllocSteadyState, RoutingExchangeTickIsAllocationFree) {
   std::vector<routing::ForwardPlan> plans;
   double t = 0.0;
   std::size_t pair = 0;
+  std::size_t pruned = 0;  // slots dropped by decay, summed over contacts
+  const auto decay = [&](routing::Host& h, util::SimTime now) {
+    const auto& table = routing::ChitChatRouter::of(h)->interests();
+    const std::size_t before = table.size();
+    h.router().pre_exchange(h, now, {});
+    pruned += before - std::min(before, table.size());
+  };
   const auto contact = [&] {
     plans.clear();
     routing::Host& a = *hosts[pair % hosts.size()];
@@ -189,8 +208,8 @@ TEST(AllocSteadyState, RoutingExchangeTickIsAllocationFree) {
     ++pair;
     t += 5.0;
     const auto now = util::SimTime::seconds(t);
-    a.router().pre_exchange(a, now, {});
-    b.router().pre_exchange(b, now, {});
+    decay(a, now);
+    decay(b, now);
     a.router().on_link_up(a, b, now, 50.0);
     b.router().on_link_up(b, a, now, 50.0);
     a.router().plan_into(a, b, now, plans);
@@ -199,10 +218,17 @@ TEST(AllocSteadyState, RoutingExchangeTickIsAllocationFree) {
     b.router().on_link_down(b, a, now);
   };
   for (int w = 0; w < 256; ++w) contact();
+  const std::size_t pruned_warm = pruned;
   const std::uint64_t before = allocs_now();
   for (int w = 0; w < 64; ++w) contact();
   EXPECT_EQ(allocs_now() - before, 0u)
       << "steady-state exchange + plan tick must not touch the heap";
+  // The window really exercised table pruning and regrowth, and the merges
+  // spread every first-hand opinion to every store.
+  EXPECT_GT(pruned, pruned_warm);
+  for (const auto& host : hosts) {
+    EXPECT_EQ(core::IncentiveRouter::of(*host)->ratings().size(), 50u);
+  }
 }
 
 TEST(AllocSteadyState, BufferChurnRecyclesThroughArena) {

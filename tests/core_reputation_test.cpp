@@ -91,16 +91,33 @@ TEST(RatingStore, DisabledDrmTrustsEveryone) {
   EXPECT_TRUE(store.trusted(NodeId(1)));
 }
 
-TEST(RatingStore, SnapshotSortedByNode) {
+TEST(RatingStore, ForEachVisitsNodesInOrder) {
   RatingStore store(quiet_drm());
   store.add_message_rating(NodeId(5), 4.0);
   store.add_message_rating(NodeId(2), 3.0);
   store.merge_remote(NodeId(9), 1.0);
-  const auto snap = store.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].first, NodeId(2));
-  EXPECT_EQ(snap[1].first, NodeId(5));
-  EXPECT_EQ(snap[2].first, NodeId(9));
+  std::vector<std::pair<NodeId, double>> seen;
+  store.for_each([&seen](NodeId node, double rating) { seen.emplace_back(node, rating); });
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0], std::make_pair(NodeId(2), 3.0));
+  EXPECT_EQ(seen[1], std::make_pair(NodeId(5), 4.0));
+  EXPECT_EQ(seen[2], std::make_pair(NodeId(9), 1.0));
+}
+
+TEST(RatingStore, MergeFromSkipsSelfAndPeer) {
+  RatingStore self(quiet_drm());  // alpha = 0.6
+  self.add_message_rating(NodeId(3), 4.0);
+  RatingStore peer(quiet_drm());
+  peer.add_message_rating(NodeId(1), 0.5);  // about the receiver: skipped
+  peer.add_message_rating(NodeId(2), 5.0);  // about the peer itself: skipped
+  peer.add_message_rating(NodeId(3), 1.0);
+  peer.add_message_rating(NodeId(4), 2.0);
+  self.merge_from(peer, NodeId(1), NodeId(2));
+  EXPECT_FALSE(self.knows(NodeId(1)));
+  EXPECT_FALSE(self.knows(NodeId(2)));
+  EXPECT_NEAR(self.rating_of(NodeId(3)), 0.4 * 1.0 + 0.6 * 4.0, 1e-12);
+  EXPECT_DOUBLE_EQ(self.rating_of(NodeId(4)), 2.0);
+  EXPECT_EQ(self.size(), 2u);
 }
 
 TEST(RatingStore, RatingBoundsEnforced) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "core/incentive_router.h"
 #include "live/live_node.h"
+#include "live/udp.h"
 #include "obs/trace_replay.h"
 #include "obs/trace_sink.h"
 #include "scenario/config.h"
@@ -199,6 +202,112 @@ TEST(LiveLoopback, SilentPeerExpiresAndTransfersAbort) {
     now = now + SimTime::seconds(kStep);
   }
   EXPECT_FALSE(a.link_up(NodeId(2)));
+}
+
+/// A hand-driven peer on a raw socket: completes the HELLO handshake with a
+/// LiveNode, then sends whatever frames a test crafts — including ones no
+/// well-behaved node would emit.
+class ForgedPeer {
+ public:
+  ForgedPeer(LiveNode& target, std::uint32_t node) : target_(target), node_(node), socket_(0) {
+    wire::HelloFrame hello;
+    hello.node = node_;
+    hello.keyword_pool_hash = target.keyword_pool_hash();
+    send(hello);
+  }
+
+  void send(const wire::Frame& f) {
+    std::vector<std::uint8_t> bytes;
+    wire::encode_frame(f, bytes);
+    socket_.send_to(Endpoint{"127.0.0.1", target_.local_port()}, bytes);
+  }
+
+  /// Service the target until it reports the link up.
+  bool linked(SimTime& now) {
+    for (int i = 0; i < 100 && !target_.link_up(node_); ++i) {
+      now = now + SimTime::seconds(kStep);
+      target_.service(now);
+    }
+    return target_.link_up(node_);
+  }
+
+  /// Send \p f and let the target service it; returns the frames it rejected.
+  std::uint64_t deliver(const wire::Frame& f, SimTime& now) {
+    const std::uint64_t before = target_.rejected_frames();
+    send(f);
+    for (int i = 0; i < 8; ++i) {  // loopback is quick but not instant; < peer timeout
+      now = now + SimTime::seconds(kStep);
+      target_.service(now);
+    }
+    return target_.rejected_frames() - before;
+  }
+
+  [[nodiscard]] NodeId id() const { return node_; }
+
+ private:
+  LiveNode& target_;
+  NodeId node_;
+  UdpSocket socket_;
+};
+
+wire::InterestDigestFrame digest_of(NodeId node, std::uint32_t keyword, double weight) {
+  wire::InterestDigestFrame f;
+  f.node = node;
+  f.entries.push_back(wire::InterestEntry{msg::KeywordId(0), 0.5, true});
+  f.entries.push_back(wire::InterestEntry{msg::KeywordId(keyword), weight, false});
+  return f;
+}
+
+TEST(LiveLoopback, OutOfRangeDigestEntriesAreRejected) {
+  LiveNode a(base_config(1));
+  SimTime now = SimTime::zero();
+  ForgedPeer forger(a, 7);
+  ASSERT_TRUE(forger.linked(now));
+  const auto& table = routing::ChitChatRouter::of(a.host())->interests();
+  const std::uint64_t generation = table.generation();
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // A keyword id that would size a dense table to gigabytes, one just past
+  // the 4-keyword pool, and weights growth can never produce.
+  EXPECT_EQ(forger.deliver(digest_of(forger.id(), 0xFFFFFFFEu, 0.5), now), 1u);
+  EXPECT_EQ(forger.deliver(digest_of(forger.id(), 4, 0.5), now), 1u);
+  EXPECT_EQ(forger.deliver(digest_of(forger.id(), 1, nan), now), 1u);
+  EXPECT_EQ(forger.deliver(digest_of(forger.id(), 1, inf), now), 1u);
+  EXPECT_EQ(forger.deliver(digest_of(forger.id(), 1, 1.5), now), 1u);
+  EXPECT_EQ(forger.deliver(digest_of(forger.id(), 1, -0.25), now), 1u);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.generation(), generation);
+
+  // The same frame shape in range is admitted and feeds the growth phase.
+  EXPECT_EQ(forger.deliver(digest_of(forger.id(), 3, 1.0), now), 0u);
+  EXPECT_TRUE(table.has(msg::KeywordId(3)));
+  EXPECT_TRUE(table.has(msg::KeywordId(0)));
+}
+
+TEST(LiveLoopback, NonFiniteGossipRatingsAreRejected) {
+  LiveNode a(base_config(1));
+  SimTime now = SimTime::zero();
+  ForgedPeer forger(a, 7);
+  ASSERT_TRUE(forger.linked(now));
+  const core::RatingStore& ratings = core::IncentiveRouter::of(a.host())->ratings();
+
+  const auto gossip = [&](double rating) {
+    wire::RatingGossipFrame f;
+    f.node = forger.id();
+    f.entries.push_back(wire::RatingEntry{NodeId(8), 4.0});
+    f.entries.push_back(wire::RatingEntry{NodeId(9), rating});
+    return f;
+  };
+  EXPECT_EQ(forger.deliver(gossip(std::numeric_limits<double>::quiet_NaN()), now), 1u);
+  EXPECT_EQ(forger.deliver(gossip(-std::numeric_limits<double>::infinity()), now), 1u);
+  EXPECT_FALSE(ratings.knows(NodeId(8)));
+  EXPECT_FALSE(ratings.knows(NodeId(9)));
+
+  // Finite ratings merge; out-of-scale ones are clamped, as in the simulator.
+  EXPECT_EQ(forger.deliver(gossip(99.0), now), 0u);
+  EXPECT_DOUBLE_EQ(ratings.rating_of(NodeId(8)), 4.0);
+  EXPECT_DOUBLE_EQ(ratings.rating_of(NodeId(9)), ratings.params().rating_max);
 }
 
 TEST(LiveLoopback, TraceReplayReproducesLiveCounters) {

@@ -49,7 +49,7 @@ TEST(InterestTable, DirectDecaysTowardHalf) {
   for (int i = 0; i < 50; ++i) t.grow_from(peer, SimTime::zero(), 10.0);
   const double grown = t.weight(KeywordId(1));
   ASSERT_GT(grown, 0.5);
-  t.decay(SimTime::seconds(100), nullptr);
+  t.decay_against(SimTime::seconds(100), {});
   const double decayed = t.weight(KeywordId(1));
   EXPECT_LT(decayed, grown);
   EXPECT_GE(decayed, 0.5);  // direct interests never decay below 0.5
@@ -63,9 +63,9 @@ TEST(InterestTable, TransientDecaysTowardZeroAndIsPruned) {
   ASSERT_TRUE(t.has(KeywordId(7)));
   ASSERT_FALSE(t.has_direct(KeywordId(7)));
   // Long silence: transient interest decays to (near) zero and is forgotten.
-  t.decay(SimTime::seconds(1000), nullptr);
-  t.decay(SimTime::seconds(5000), nullptr);
-  t.decay(SimTime::seconds(50000), nullptr);
+  t.decay_against(SimTime::seconds(1000), {});
+  t.decay_against(SimTime::seconds(5000), {});
+  t.decay_against(SimTime::seconds(50000), {});
   EXPECT_FALSE(t.has(KeywordId(7)));
 }
 
@@ -76,7 +76,8 @@ TEST(InterestTable, ConnectedInterestDoesNotDecay) {
   peer.add_direct(KeywordId(1), SimTime::zero());
   t.grow_from(peer, SimTime::zero(), 10.0);
   const double before = t.weight(KeywordId(1));
-  t.decay(SimTime::seconds(500), [](KeywordId) { return true; });  // peer still connected
+  const InterestTable* connected[] = {&peer};  // peer still connected
+  t.decay_against(SimTime::seconds(500), connected);
   EXPECT_DOUBLE_EQ(t.weight(KeywordId(1)), before);
 }
 
@@ -84,7 +85,7 @@ TEST(InterestTable, DecayNeverAmplifies) {
   // Small gaps would divide by < 1 in the raw formula; the floor guards it.
   InterestTable t(fast_params());
   t.add_direct(KeywordId(1), SimTime::zero());
-  t.decay(SimTime::seconds(0.001), nullptr);
+  t.decay_against(SimTime::seconds(0.001), {});
   EXPECT_LE(t.weight(KeywordId(1)), 0.5 + 1e-12);
 }
 
@@ -158,7 +159,7 @@ TEST(InterestTable, NoteSeenRefreshesTimestampOnly) {
   t.add_direct(KeywordId(1), SimTime::zero());
   t.note_seen(KeywordId(1), SimTime::seconds(100));
   // Decay right after refresh: dt = 0 -> divisor floored at 1 -> no change.
-  t.decay(SimTime::seconds(100), nullptr);
+  t.decay_against(SimTime::seconds(100), {});
   EXPECT_DOUBLE_EQ(t.weight(KeywordId(1)), 0.5);
   t.note_seen(KeywordId(99), SimTime::seconds(1));  // unknown: no-op
   EXPECT_FALSE(t.has(KeywordId(99)));
@@ -182,8 +183,8 @@ TEST_P(WeightBoundsSweep, WeightsStayInUnitInterval) {
   for (int step = 0; step < 300; ++step) {
     now += rng.uniform(0.1, 300.0);
     const auto t = SimTime::seconds(now);
-    if (rng.chance(0.5)) a.decay(t, nullptr);
-    if (rng.chance(0.5)) b.decay(t, nullptr);
+    if (rng.chance(0.5)) a.decay_against(t, {});
+    if (rng.chance(0.5)) b.decay_against(t, {});
     if (rng.chance(0.7)) a.grow_from(b, t, rng.uniform(0.0, 20.0));
     if (rng.chance(0.7)) b.grow_from(a, t, rng.uniform(0.0, 20.0));
     for (const auto& e : a.entries()) {

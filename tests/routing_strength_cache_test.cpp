@@ -74,7 +74,7 @@ TEST(StrengthCache, MatchesFromScratchRecomputeUnderChurn) {
         if (next_id > 0) (void)host.buffer().remove(util::MessageId(rng.below(next_id)));
         break;
       case 3:  // decay (generation must advance when weights change)
-        router->interests().decay(now, nullptr);
+        router->interests().decay_against(now, {});
         break;
       case 4:  // growth from a peer table
         router->interests().grow_from(peer, now, 5.0);
@@ -102,12 +102,12 @@ TEST(StrengthCache, GenerationTracksWeightChangesOnly) {
   // Decay at the same instant leaves every weight unchanged (divisor floored
   // at 1): the generation must hold so in-contact queries stay cache-hits.
   const auto g1 = table.generation();
-  table.decay(SimTime::zero(), nullptr);
+  table.decay_against(SimTime::zero(), {});
   EXPECT_EQ(table.generation(), g1);
 
   // Decay after time has passed changes weights and must bump.
   table.grow_from(table, SimTime::zero(), 5.0);  // adds nothing new to itself
-  table.decay(SimTime::seconds(100.0), nullptr);
+  table.decay_against(SimTime::seconds(100.0), {});
   EXPECT_GT(table.generation(), g1);
 
   // Growing from an empty peer changes nothing.
