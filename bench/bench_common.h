@@ -39,13 +39,10 @@ struct BenchScale {
 inline BenchScale resolve_scale(util::Cli& cli, int argc, const char* const* argv,
                                 const std::string& program) {
   cli.add_flag("nodes", "0", "participants (0 = scale default)");
-  cli.add_flag("hours", "0", "simulated hours (0 = scale default)");
+  cli.add_flag("hours", "0.0", "simulated hours (0 = scale default)");
   cli.add_flag("seeds", "0", "simulation runs to average (0 = scale default)");
   cli.add_flag("threads", "0", "worker threads (0 = DTNIC_THREADS or hardware)");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.usage(program);
-    std::exit(0);
-  }
+  cli.parse_or_exit(argc, argv, program);
   BenchScale scale;
   if (const char* env = std::getenv("DTNIC_SCALE"); env && std::string(env) == "paper") {
     scale.nodes = 500;

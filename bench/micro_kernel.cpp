@@ -516,17 +516,6 @@ void write_contact_scan_json() {
     const int iterations = fast ? 20 : (c.nodes >= 2000 ? 500 : 2000);
     row(c.kernel, c.nodes, iterations, time_scan_kernel(c.incremental, c.nodes, iterations));
   }
-  // Per-variant rows for the moving scan at paper scale. Only variants the
-  // host CPU supports appear, so regression comparison must intersect rows
-  // on (kernel, nodes) rather than expect a fixed set.
-  const auto saved_variant = net::SpatialGrid::scan_variant();
-  for (const auto v : net::SpatialGrid::supported_scan_variants()) {
-    (void)net::SpatialGrid::set_scan_variant(v);
-    const int iterations = fast ? 20 : 500;
-    row(std::string("scan_incremental_") + net::SpatialGrid::scan_variant_name(v), 2000,
-        iterations, time_scan_kernel(true, 2000, iterations));
-  }
-  (void)net::SpatialGrid::set_scan_variant(saved_variant);
   os << "\n  ]\n}\n";
   std::cout << "wrote " << path << "\n";
 }

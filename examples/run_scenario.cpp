@@ -224,10 +224,7 @@ int main(int argc, char** argv) {
   cli.add_flag("node-stats-out", "",
                "write per-node counters here (.json for JSON, anything else CSV)");
   cli.add_flag("manifest-out", "", "write a dtnic.manifest.v1 reproducibility manifest here");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.usage(argv[0]);
-    return 0;
-  }
+  cli.parse_or_exit(argc, argv, argv[0]);
   if (cli.get_int("threads") > 0) {
     util::ThreadPool::set_shared_threads(static_cast<std::size_t>(cli.get_int("threads")));
   }

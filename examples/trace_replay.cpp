@@ -17,12 +17,9 @@ int main(int argc, char** argv) {
   using namespace dtnic;
   util::Cli cli;
   cli.add_flag("nodes", "60", "participants");
-  cli.add_flag("hours", "2", "simulated hours");
+  cli.add_flag("hours", "2.0", "simulated hours");
   cli.add_flag("trace", "/tmp/dtnic_contacts.trace", "where to write the recorded trace");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.usage(argv[0]);
-    return 0;
-  }
+  cli.parse_or_exit(argc, argv, argv[0]);
 
   // --- 1. record ------------------------------------------------------------
   scenario::ScenarioConfig cfg = scenario::ScenarioConfig::scaled_defaults(

@@ -64,7 +64,7 @@ int run(int argc, char** argv) {
   cli.add_flag("subscribe", "", "keywords this node's user subscribes to (comma list)");
   cli.add_flag("publish", "", "keywords of one message to publish at startup (comma list)");
   cli.add_flag("publish-size", "65536", "published message size in bytes");
-  cli.add_flag("duration-s", "10", "wall-clock run duration in seconds");
+  cli.add_flag("duration-s", "10.0", "wall-clock run duration in seconds");
   cli.add_flag("hello-interval-s", "0.5", "keepalive HELLO interval");
   cli.add_flag("scheme", "incentive", "routing scheme: incentive or chitchat");
   cli.add_flag("rank", "1", "hardware/user rank R_u (1 = highest)");
@@ -72,10 +72,7 @@ int run(int argc, char** argv) {
   cli.add_flag("trace-out", "", "write a dtnic.trace.v1 JSONL trace to this path");
   cli.add_flag("metrics-out", "", "write a key=value metrics summary to this path");
   cli.add_flag("replay-check", "", "after the run, replay the trace and verify counters");
-  if (!cli.parse(argc, argv)) {
-    std::cout << cli.usage("dtnic");
-    return 0;
-  }
+  cli.parse_or_exit(argc, argv, "dtnic");
 
   LiveNodeConfig cfg;
   cfg.node = dtnic::routing::NodeId(static_cast<std::uint32_t>(cli.get_int("node")));

@@ -236,9 +236,10 @@ void LiveNode::handle_datagram(const Endpoint& from, std::span<const std::uint8_
 
     if (const auto* hello = std::get_if<wire::HelloFrame>(&decoded->frame)) {
       // HELLO binds (node id -> endpoint); everything else resolves the
-      // sender by source endpoint.
+      // sender by source endpoint. Ranks start at 1 (Table 3.1); a lower one
+      // would fail the promise computation's precondition on the next plan.
       if (hello->proto != wire::kProtocolVersion || hello->keyword_pool_hash != pool_hash_ ||
-          !hello->node.valid() || hello->node == host_.id()) {
+          !hello->node.valid() || hello->node == host_.id() || hello->rank < 1) {
         ++rejected_frames_;
         continue;
       }
@@ -544,8 +545,19 @@ void LiveNode::rate_and_record(msg::Message& m) {
 void LiveNode::handle_receipt(PeerState& ps, const wire::ReceiptFrame& f) {
   auto it = outgoing_.find(transfer_key(ps.peer.id(), f.message));
   if (it == outgoing_.end()) return;
+  const routing::ForwardPlan& plan = it->second.plan;
+  if (!std::isfinite(f.amount) || f.amount < 0.0 || f.role != plan.role) {
+    ++rejected_frames_;
+    return;
+  }
+  // The amount is the peer's claim. Credit no more than this node's own plan
+  // bounds: a destination pays award_factor (<= 1) times the promise plus a
+  // tag reward of at most tag_reward_cap; a relay pays the agreed prepay.
   if (incentive_ != nullptr && f.amount > 0.0) {
-    incentive_->ledger().credit(f.amount);
+    const double bound = plan.role == TransferRole::kDestination
+                             ? plan.promise + world_.incentive.tag_reward_cap
+                             : plan.prepay;
+    incentive_->ledger().credit(std::min(f.amount, bound));
   }
   outgoing_.erase(it);
 }

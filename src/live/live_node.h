@@ -95,7 +95,8 @@ class LiveNode {
   [[nodiscard]] std::size_t links_up() const;
   [[nodiscard]] double tokens() const;
   /// Frames received that failed to decode, failed compatibility gating, or
-  /// carried out-of-range state (digest keyword ids/weights, NaN ratings).
+  /// carried out-of-range state (digest keyword ids/weights, NaN ratings,
+  /// receipts with a non-finite or negative amount or the wrong role).
   [[nodiscard]] std::uint64_t rejected_frames() const { return rejected_frames_; }
 
  private:

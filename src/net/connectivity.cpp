@@ -8,17 +8,10 @@
 namespace dtnic::net {
 
 ConnectivityManager::ConnectivityManager(sim::Simulator& sim, const RadioParams& radio,
-                                         util::SimTime scan_interval, std::size_t shard_threads)
-    : sim_(sim),
-      radio_(radio),
-      scan_interval_(scan_interval),
-      grid_(radio.range_m),
-      shards_(shard_threads == 0 ? 1 : shard_threads) {
+                                         util::SimTime scan_interval)
+    : sim_(sim), radio_(radio), scan_interval_(scan_interval), grid_(radio.range_m) {
   DTNIC_REQUIRE(radio.range_m > 0.0);
   DTNIC_REQUIRE(scan_interval > util::SimTime::zero());
-  DTNIC_REQUIRE_MSG(shards_ <= 256, "shard_threads out of range");
-  shard_scratch_.resize(shards_);
-  if (shards_ > 1) shard_pool_ = std::make_unique<util::ThreadPool>(shards_ - 1);
 }
 
 void ConnectivityManager::add_node(NodeId id, mobility::MobilityModel* mobility) {
@@ -53,7 +46,7 @@ void ConnectivityManager::scan() {
   const util::SimTime now = sim_.now();
 
   refresh_positions(now);
-  collect_pairs();  // scan_pairs_ sorted by (lo, hi)
+  grid_.pairs_within(radio_.range_m, scan_pairs_);  // sorted by (lo, hi)
 
   // One linear merge of the previous and current sorted pair lists replaces
   // the per-scan hash-set diff. Fresh encounters fire link_up immediately
@@ -112,33 +105,10 @@ void ConnectivityManager::refresh_positions(util::SimTime now) {
   // since the last scan get their grid slot on first sight.
   positions_.resize(nodes_.size());
   const std::size_t tracked = grid_slots_.size();  // nodes already in the grid
-  if (shards_ == 1 || tracked < 2 * shards_) {
-    for (std::size_t i = 0; i < tracked; ++i) {
-      const util::Vec2 p = nodes_[i].mobility->position_at(now);
-      positions_[i] = p;
-      grid_.update_slot(grid_slots_[i], p);
-    }
-  } else {
-    // Stage in parallel over contiguous node ranges: mobility models are
-    // per-node state machines and stage_position writes only positions_[i],
-    // so shards touch disjoint memory. Cell-pool mutations are deferred.
-    shard_pool_->co_run(shards_, [this, now, tracked](std::size_t shard) {
-      ShardScratch& scratch = shard_scratch_[shard];
-      scratch.crossers.clear();
-      const std::size_t begin = tracked * shard / shards_;
-      const std::size_t end = tracked * (shard + 1) / shards_;
-      for (std::size_t i = begin; i < end; ++i) {
-        const util::Vec2 p = nodes_[i].mobility->position_at(now);
-        positions_[i] = p;
-        if (grid_.stage_position(grid_slots_[i], p)) scratch.crossers.push_back(i);
-      }
-    });
-    // Commit serially in ascending node order: shards own contiguous ranges
-    // and record crossers in order, so this replays the exact pool-mutation
-    // sequence of the serial loop — grid layout stays bit-identical.
-    for (const ShardScratch& scratch : shard_scratch_) {
-      for (const std::size_t i : scratch.crossers) grid_.commit_move(grid_slots_[i]);
-    }
+  for (std::size_t i = 0; i < tracked; ++i) {
+    const util::Vec2 p = nodes_[i].mobility->position_at(now);
+    positions_[i] = p;
+    grid_.update_slot(grid_slots_[i], p);
   }
   for (std::size_t i = tracked; i < nodes_.size(); ++i) {
     const util::Vec2 p = nodes_[i].mobility->position_at(now);
@@ -147,48 +117,6 @@ void ConnectivityManager::refresh_positions(util::SimTime now) {
   }
   positions_time_ = now;
   positions_cached_ = true;
-}
-
-void ConnectivityManager::collect_pairs() {
-  if (shards_ == 1 || grid_.size() < 2 * shards_) {
-    grid_.pairs_within(radio_.range_m, scan_pairs_);
-    return;
-  }
-  shard_pool_->co_run(shards_, [this](std::size_t shard) {
-    ShardScratch& scratch = shard_scratch_[shard];
-    grid_.pairs_within_shard(radio_.range_m, static_cast<std::uint32_t>(shard),
-                             static_cast<std::uint32_t>(shards_), scratch.pairs, scratch.sort);
-  });
-  merge_shard_pairs();
-}
-
-void ConnectivityManager::merge_shard_pairs() {
-  // K-way merge of the sorted per-shard lists. Cell ownership partitions the
-  // pair set, so keys never collide across shards and the merge output is
-  // exactly the globally sorted list grid_.pairs_within would emit.
-  scan_pairs_.clear();
-  std::size_t total = 0;
-  for (ShardScratch& scratch : shard_scratch_) {
-    scratch.cursor = 0;
-    total += scratch.pairs.size();
-  }
-  scan_pairs_.reserve(total);
-  for (;;) {
-    std::size_t best = shards_;
-    std::uint64_t best_key = 0;
-    for (std::size_t s = 0; s < shards_; ++s) {
-      const ShardScratch& scratch = shard_scratch_[s];
-      if (scratch.cursor >= scratch.pairs.size()) continue;
-      const SpatialGrid::Pair& p = scratch.pairs[scratch.cursor];
-      const std::uint64_t key = pair_key(p.a, p.b);
-      if (best == shards_ || key < best_key) {
-        best = s;
-        best_key = key;
-      }
-    }
-    if (best == shards_) break;
-    scan_pairs_.push_back(shard_scratch_[best].pairs[shard_scratch_[best].cursor++]);
-  }
 }
 
 void ConnectivityManager::add_adjacency(NodeId node, NodeId neighbor) {

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "net/spatial_grid.h"
 #include "sim/simulator.h"
 #include "util/ids.h"
-#include "util/thread_pool.h"
 
 /// \file connectivity.h
 /// Contact detection. Positions are sampled every scan interval; a pair of
@@ -27,14 +25,6 @@
 /// previous scan's list is diffed against it with one linear merge — no
 /// per-scan hash set, and link up/down callbacks fire in sorted pair order,
 /// deterministically across platforms and hash layouts.
-///
-/// With shard_threads > 1, the expensive phases of one scan run sharded:
-/// mobility sampling/position staging over contiguous node ranges and pair
-/// enumeration over grid-cell shards (owner rule: SpatialGrid::shard_of_cell),
-/// each on its own thread. Cell-pool commits, the k-way merge of the sorted
-/// per-shard pair lists, and all link up/down callbacks stay serial, so every
-/// observable event sequence is bit-identical to the serial scan for any
-/// shard count (see DESIGN.md "Intra-run sharding").
 
 namespace dtnic::net {
 
@@ -42,13 +32,8 @@ using util::NodeId;
 
 class ConnectivityManager final : public ContactSource {
  public:
-  /// \p shard_threads is the number of intra-scan shards; 1 (the default)
-  /// keeps the fully serial path. The manager owns a dedicated pool of
-  /// (shard_threads - 1) workers — the calling thread runs shard 0 — rather
-  /// than borrowing ThreadPool::shared(), whose queue may hold whole-seed
-  /// jobs that would deadlock a nested wait.
   ConnectivityManager(sim::Simulator& sim, const RadioParams& radio,
-                      util::SimTime scan_interval, std::size_t shard_threads = 1);
+                      util::SimTime scan_interval);
 
   /// Register a node; \p mobility must outlive the manager.
   void add_node(NodeId id, mobility::MobilityModel* mobility);
@@ -101,7 +86,6 @@ class ConnectivityManager final : public ContactSource {
   /// number of scans run. Observability only; never affects the simulation.
   [[nodiscard]] std::uint64_t scan_ns() const { return scan_ns_; }
   [[nodiscard]] std::uint64_t scans() const { return scans_; }
-  [[nodiscard]] std::size_t shard_threads() const { return shards_; }
 
  private:
   enum class PairState : std::uint8_t { kConnected, kSuppressed };
@@ -115,15 +99,9 @@ class ConnectivityManager final : public ContactSource {
   /// an entry; erases the list once empty.
   void drop_adjacency(NodeId node, NodeId neighbor);
 
-  /// Sample mobility + stage positions for nodes already in the grid, then
-  /// commit cell crossers serially in ascending node order (replicating the
-  /// serial loop's pool-mutation sequence) and insert first-seen nodes.
+  /// Sample mobility for every node, move the grid entries of nodes already
+  /// in it, and insert first-seen nodes.
   void refresh_positions(util::SimTime now);
-  /// Fill scan_pairs_ with the sorted in-range pair list — serial
-  /// grid.pairs_within for one shard, per-shard enumeration + k-way merge
-  /// otherwise. Both produce the identical list.
-  void collect_pairs();
-  void merge_shard_pairs();
 
   sim::Simulator& sim_;
   RadioParams radio_;
@@ -139,18 +117,6 @@ class ConnectivityManager final : public ContactSource {
 
   SpatialGrid grid_;
   std::vector<std::size_t> grid_slots_;  ///< grid slot per node index
-
-  /// Intra-scan sharding state. shard_pool_ exists only when shards_ > 1;
-  /// its (shards_ - 1) workers plus the calling thread run one shard each.
-  std::size_t shards_ = 1;
-  std::unique_ptr<util::ThreadPool> shard_pool_;
-  struct ShardScratch {
-    std::vector<SpatialGrid::Pair> pairs;  ///< this shard's sorted emission
-    SpatialGrid::SortScratch sort;
-    std::vector<std::size_t> crossers;  ///< staged slots whose cell changed
-    std::size_t cursor = 0;             ///< k-way merge read position
-  };
-  std::vector<ShardScratch> shard_scratch_;
 
   /// Known pairs (connected or suppressed), sorted by key; the previous
   /// scan's list is merged against the current in-range list each scan.

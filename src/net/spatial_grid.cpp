@@ -1,10 +1,7 @@
 #include "net/spatial_grid.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "util/assert.h"
 
@@ -16,83 +13,9 @@ namespace {
   return (static_cast<std::uint64_t>(p.a.value()) << 32) | p.b.value();
 }
 
-using Variant = SpatialGrid::ScanVariant;
-
-[[nodiscard]] bool variant_supported(Variant v) {
-  switch (v) {
-    case Variant::kScalar:
-      return true;
-#ifdef DTNIC_SIMD_X86
-    case Variant::kSse2:
-      return true;  // baseline x86-64
-    case Variant::kAvx2:
-      return __builtin_cpu_supports("avx2");
-#else
-    case Variant::kSse2:
-    case Variant::kAvx2:
-      return false;
-#endif
-  }
-  return false;
-}
-
-[[nodiscard]] Variant best_supported() {
-  if (variant_supported(Variant::kAvx2)) return Variant::kAvx2;
-  if (variant_supported(Variant::kSse2)) return Variant::kSse2;
-  return Variant::kScalar;
-}
-
-/// Process-wide active variant; -1 until first resolved. Resolution honors
-/// DTNIC_SCAN_VARIANT (scalar|sse2|avx2|auto) and falls back to the best
-/// supported kernel on unknown or unsupported values.
-std::atomic<int> g_scan_variant{-1};
-
-[[nodiscard]] Variant resolve_variant() {
-  int v = g_scan_variant.load(std::memory_order_relaxed);
-  if (v >= 0) return static_cast<Variant>(v);
-  Variant chosen = best_supported();
-  if (const char* env = std::getenv("DTNIC_SCAN_VARIANT")) {
-    Variant wanted = chosen;
-    if (std::strcmp(env, "scalar") == 0) wanted = Variant::kScalar;
-    else if (std::strcmp(env, "sse2") == 0) wanted = Variant::kSse2;
-    else if (std::strcmp(env, "avx2") == 0) wanted = Variant::kAvx2;
-    if (variant_supported(wanted)) chosen = wanted;
-  }
-  g_scan_variant.store(static_cast<int>(chosen), std::memory_order_relaxed);
-  return chosen;
-}
-
 }  // namespace
 
 const SpatialGrid::ScanBlock SpatialGrid::kEmptyBlock{};
-
-SpatialGrid::ScanVariant SpatialGrid::scan_variant() { return resolve_variant(); }
-
-bool SpatialGrid::set_scan_variant(ScanVariant v) {
-  if (!variant_supported(v)) return false;
-  g_scan_variant.store(static_cast<int>(v), std::memory_order_relaxed);
-  return true;
-}
-
-const char* SpatialGrid::scan_variant_name(ScanVariant v) {
-  switch (v) {
-    case ScanVariant::kScalar:
-      return "scalar";
-    case ScanVariant::kSse2:
-      return "sse2";
-    case ScanVariant::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-std::vector<SpatialGrid::ScanVariant> SpatialGrid::supported_scan_variants() {
-  std::vector<ScanVariant> out;
-  for (const Variant v : {Variant::kScalar, Variant::kSse2, Variant::kAvx2}) {
-    if (variant_supported(v)) out.push_back(v);
-  }
-  return out;
-}
 
 SpatialGrid::SpatialGrid(double cell_size)
     : cell_size_(cell_size), inv_cell_size_(1.0 / cell_size) {
@@ -118,17 +41,18 @@ void SpatialGrid::clear() {
 /// per emission would serialize their decode path through the unpipelined
 /// divider); the √ happens here, folded into the scatter pass so it rides
 /// along with stores the sort performs anyway instead of costing a separate
-/// read-modify-write sweep of the whole pair vector. Every kernel variant
-/// funnels through this one scalar std::sqrt, so distances are bit-identical
-/// across variants by construction.
+/// read-modify-write sweep of the whole pair vector. Every kernel funnels
+/// through this one scalar std::sqrt, so distances are bit-identical across
+/// kernels by construction.
 ///
 /// Simulations use small dense node ids, so the common case is one
 /// id-indexed counting pass (the bucket array stays L1-resident) followed by
 /// insertion sort of the tiny equal-a runs — far cheaper than a comparison
 /// sort of the effectively random pool-order input. Sparse id spaces fall
 /// back to std::sort on the packed key.
-void SpatialGrid::sort_pairs(std::vector<Pair>& v, std::vector<Pair>& scratch,
-                             std::vector<std::uint32_t>& offsets) const {
+void SpatialGrid::sort_pairs(std::vector<Pair>& v) const {
+  std::vector<Pair>& scratch = sort_scratch_;
+  std::vector<std::uint32_t>& offsets = sort_offsets_;
   const std::size_t n = v.size();
   const std::size_t buckets = static_cast<std::size_t>(max_id_) + 2;
   if (n < 2 || n <= 64 || buckets > std::max<std::size_t>(4096, 16 * slots_.size())) {
@@ -184,7 +108,6 @@ std::uint32_t SpatialGrid::cell_at(std::int32_t cx, std::int32_t cy) {
   CellLinks& links = links_[index];
   cell.cx = cx;
   cell.cy = cy;
-  links.cx = cx;
   counts_[index] = 0;
   // Lane invariant: a cell entering the free list had every entry removed,
   // and each removal restored the vacated lane to +inf — so both fresh and
@@ -292,12 +215,6 @@ void SpatialGrid::update(util::NodeId id, util::Vec2 position) {
   update_slot(it->second, position);
 }
 
-void SpatialGrid::commit_move(std::size_t slot) {
-  const util::Vec2 position{xs_[slot], ys_[slot]};
-  unplace(static_cast<std::uint32_t>(slot));
-  place(static_cast<std::uint32_t>(slot), cell_at(coord(position.x), coord(position.y)));
-}
-
 void SpatialGrid::neighbors_of(util::Vec2 center, double radius, util::NodeId self,
                                std::vector<util::NodeId>& out) const {
   out.clear();
@@ -325,43 +242,25 @@ void SpatialGrid::neighbors_of(util::Vec2 center, double radius, util::NodeId se
   }
 }
 
-void SpatialGrid::scan_pairs(double radius, std::uint32_t shard, std::uint32_t shard_count,
-                             std::vector<Pair>& out) const {
+void SpatialGrid::scan_with(ScanKernelFn kernel, double radius, std::vector<Pair>& out) const {
   DTNIC_REQUIRE_MSG(radius <= cell_size_, "query radius exceeds grid cell size");
   out.clear();
-  const double r2 = radius * radius;
   const ScanView view{blocks_.data(), counts_.data(), links_.data(), ids_.data(),
                       pool_.data(),   pool_.size(),   xs_.data(),    ys_.data()};
-  switch (resolve_variant()) {
-#ifdef DTNIC_SIMD_X86
-    case Variant::kAvx2:
-      scan_kernel_avx2(view, r2, shard, shard_count, out);
-      return;
-    case Variant::kSse2:
-      scan_kernel_sse2(view, r2, shard, shard_count, out);
-      return;
-#endif
-    default:
-      scan_kernel_scalar(view, r2, shard, shard_count, out);
-      return;
-  }
-}
-
-void SpatialGrid::pairs_within(double radius, std::vector<Pair>& out) const {
-  scan_pairs(radius, 0, 0, out);
-  // Pool order leaks into the emission order (and the SIMD kernels emit in a
+  kernel(view, radius * radius, out);
+  // Pool order leaks into the emission order (and the SSE2 kernel emits in a
   // different within-cell order than the scalar one); sorting by (a, b)
   // makes the output — and every event sequence derived from it —
   // independent of layout, churn history, and kernel choice.
-  sort_pairs(out, sort_scratch_, sort_offsets_);
+  sort_pairs(out);
 }
 
-void SpatialGrid::pairs_within_shard(double radius, std::uint32_t shard,
-                                     std::uint32_t shard_count, std::vector<Pair>& out,
-                                     SortScratch& scratch) const {
-  DTNIC_REQUIRE_MSG(shard < shard_count, "shard index out of range");
-  scan_pairs(radius, shard, shard_count, out);
-  sort_pairs(out, scratch.pairs, scratch.offsets);
+void SpatialGrid::pairs_within(double radius, std::vector<Pair>& out) const {
+#ifdef __SSE2__
+  scan_with(&scan_kernel_sse2, radius, out);
+#else
+  scan_with(&scan_kernel_scalar, radius, out);
+#endif
 }
 
 std::vector<SpatialGrid::Pair> SpatialGrid::pairs_within(double radius) const {

@@ -5,10 +5,11 @@
 
 /// \file spatial_grid_scan_scalar.cpp
 /// Reference distance kernel, compiled with -ffp-contract=off so the d²
-/// expression is the exact IEEE sequence (sub, sub, mul, mul, add) the SIMD
-/// lanes compute — the foundation of the bit-identical-variants guarantee.
-/// Also provides scan_cell_scalar, the per-cell fallback the SIMD kernels
-/// take for the rare cells whose neighborhood touches overflow entries.
+/// expression is the exact IEEE sequence (sub, sub, mul, mul, add) the SSE2
+/// lanes compute — the foundation of the bit-identical-kernels guarantee.
+/// It is the whole scan on targets without SSE2, and it provides
+/// scan_cell_scalar, the per-cell fallback the SSE2 kernel takes for the rare
+/// cells whose neighborhood touches overflow entries.
 
 namespace dtnic::net {
 
@@ -38,7 +39,7 @@ void SpatialGrid::scan_cell_scalar(const ScanView& view, std::uint32_t c, double
     const util::NodeId lo{std::min(lhs.id, rhs.id)};
     const util::NodeId hi{std::max(lhs.id, rhs.id)};
     // distance_m holds d² until sort_pairs' scatter applies the √ — one
-    // conversion for every kernel, including the SIMD fallback landing here.
+    // conversion for every kernel, including the SSE2 fallback landing here.
     out.push_back(Pair{lo, hi, d2});
   };
   const std::uint32_t n = view.counts[c];
@@ -56,21 +57,18 @@ void SpatialGrid::scan_cell_scalar(const ScanView& view, std::uint32_t c, double
   }
 }
 
-void SpatialGrid::scan_kernel_scalar(const ScanView& view, double r2, std::uint32_t shard,
-                                     std::uint32_t shard_count, std::vector<Pair>& out) {
+void SpatialGrid::scan_kernel_scalar(const ScanView& view, double r2, std::vector<Pair>& out) {
   // Freed pool entries keep counts[c] == 0, so one dense sweep of the
   // L1-resident count array visits exactly the live cells without consulting
   // the hash map at all. A cell emits its interior pairs plus all pairs
-  // against its half-neighborhood, so pair ownership follows cell ownership:
-  // each unordered pair is emitted by exactly one cell, and filtering cells
-  // partitions the pair set.
+  // against its half-neighborhood, so each unordered pair is emitted by
+  // exactly one cell.
   for (std::size_t c = 0; c < view.pool_size; ++c) {
     if (view.counts[c] == 0) continue;
-    if (shard_count != 0 && shard_of_cell(view.links[c].cx, shard_count) != shard) continue;
     scan_cell_scalar(view, static_cast<std::uint32_t>(c), r2, out);
   }
   // Pairs leave every kernel carrying d²; sort_pairs applies the √ during
-  // its scatter pass, one code path for every variant.
+  // its scatter pass, one code path for both kernels.
 }
 
 }  // namespace dtnic::net

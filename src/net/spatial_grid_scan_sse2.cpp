@@ -1,28 +1,37 @@
 #include "net/spatial_grid.h"
 
 /// \file spatial_grid_scan_sse2.cpp
-/// SSE2 distance kernel (baseline x86-64): four 2-lane vectors cover the
-/// same 8 candidate lanes per iteration as the AVX2 kernel, accumulating the
-/// identical 8-bit hit masks into the per-point hit word. Compiled with
-/// -ffp-contract=off; arithmetic is lane-for-lane the scalar IEEE sequence.
+/// SSE2 distance kernel, compiled whenever the target has SSE2 (baseline
+/// x86-64): two cell segments per iteration, each as two 2-lane vectors,
+/// give an 8-wide distance² test whose compare masks accumulate into one
+/// per-point hit word. Compiled with -ffp-contract=off; the per-lane
+/// arithmetic (sub, sub, mul, mul, add) is the exact IEEE sequence of the
+/// scalar kernel — and the √ happens once for both kernels inside
+/// sort_pairs — so hits and distances are bit-identical.
 
-#ifdef DTNIC_SIMD_X86
+#ifdef __SSE2__
 
 #include <emmintrin.h>
 
 #include <algorithm>
 #include <cmath>
 
-#include "net/spatial_grid_scan_decode.h"
-
 namespace dtnic::net {
 
-void SpatialGrid::scan_kernel_sse2(const ScanView& view, double r2, std::uint32_t shard,
-                                   std::uint32_t shard_count, std::vector<Pair>& out) {
-  using scan_detail::kIntraMask;
+namespace {
+
+/// Intra-cell mask for entry i over the cell's own 4 lanes: keep only lanes
+/// j > i, so each unordered in-cell pair is tested exactly once and the
+/// self-pair never.
+constexpr std::uint32_t kIntraMask[4] = {0xe, 0xc, 0x8, 0x0};
+
+}  // namespace
+
+void SpatialGrid::scan_kernel_sse2(const ScanView& view, double r2, std::vector<Pair>& out) {
   const __m128d vr2 = _mm_set1_pd(r2);
-  // Emission staging — see the AVX2 kernel: bulk flushes replace per-pair
-  // push_back bookkeeping.
+  // Emission staging: hits land in an L1-resident stack buffer and reach
+  // `out` in bulk flushes, so the decode path pays one store per pair
+  // instead of a capacity check + size update per push_back.
   constexpr std::uint32_t kStage = 128;
   Pair staged[kStage];
   std::uint32_t staged_n = 0;
@@ -35,9 +44,19 @@ void SpatialGrid::scan_kernel_sse2(const ScanView& view, double r2, std::uint32_
     if (n == 0) continue;
     const ScanBlock& cell = view.blocks[c];
     const CellLinks& links = view.links[c];
-    if (shard_count != 0 && shard_of_cell(links.cx, shard_count) != shard) continue;
-    // Branchless compacted segment gather — see the AVX2 kernel for the
-    // rationale (predicated write cursor, all-dead padding for odd counts).
+    // Gather the candidate segments: the cell itself (segment 0, with the
+    // intra mask keeping only j > i) plus its *present* half-neighborhood
+    // directions, compacted to the front so absent directions cost no
+    // distance work at all. The compaction is branchless — every direction
+    // stores unconditionally at the write cursor, and only the cursor
+    // increment is predicated — so the effectively random presence pattern
+    // never touches the branch predictor. An odd segment count is padded
+    // with the static all-dead block (its +inf lanes cannot pass the radius
+    // test), giving ceil(live/2) 8-wide groups instead of a fixed three.
+    // Overflow is detected from the L1-resident count array (value masked
+    // by presence; the load itself is safe — index 0 is a valid pool slot);
+    // any overflowing cell in the set routes the whole cell through the
+    // scalar fallback — identical arithmetic, so no determinism seam.
     const ScanBlock* segs[6];
     std::uint32_t seg_cell[6];  // pool index per segment, for the id lookup
     segs[0] = &cell;
@@ -73,8 +92,10 @@ void SpatialGrid::scan_kernel_sse2(const ScanView& view, double r2, std::uint32_
       const double yi_s = cell.y[i];
       const __m128d xi = _mm_set1_pd(xi_s);
       const __m128d yi = _mm_set1_pd(yi_s);
-      // Per-point accumulated hit word + scalar d² recompute on hit — see
-      // the AVX2 kernel for the rationale.
+      // Accumulate every group's hit bits into one word — bit (8g + lane)
+      // set means candidate lane `lane` of group g is within range — so the
+      // whole point costs a single (mispredict-prone) branch instead of one
+      // per group, and the common no-hit point falls through branch-free.
       std::uint32_t pm = 0;
       for (int s = 0, g = 0; s < m; s += 2, ++g) {
         std::uint32_t mask = 0;
@@ -91,6 +112,12 @@ void SpatialGrid::scan_kernel_sse2(const ScanView& view, double r2, std::uint32_
         pm |= mask << (8 * g);
       }
       if (pm == 0) continue;
+      // Emission iterates the set bits in ascending order. d² is recomputed
+      // per hit from the scalar lane values — the identical IEEE expression
+      // the vector lanes evaluated (-ffp-contract=off), so the value is
+      // bit-identical, and recomputing beats spilling the vector registers:
+      // no stores on the no-hit path and no store-to-load-forwarding stall
+      // on the hit path.
       const std::uint32_t ida = view.ids[c * kInline + i];
       if (staged_n + 24 > kStage) flush();  // a point adds ≤ 24 pairs
       do {
@@ -111,9 +138,9 @@ void SpatialGrid::scan_kernel_sse2(const ScanView& view, double r2, std::uint32_
   }
   flush();
   // Pairs leave the kernel carrying d²; sort_pairs applies the (scalar) √
-  // during its scatter pass, one code path for every variant.
+  // during its scatter pass, one code path for both kernels.
 }
 
 }  // namespace dtnic::net
 
-#endif  // DTNIC_SIMD_X86
+#endif  // __SSE2__

@@ -38,7 +38,6 @@ void ScenarioConfig::validate() const {
   DTNIC_REQUIRE_MSG(min_speed_mps > 0.0 && max_speed_mps >= min_speed_mps,
                     "speed range invalid");
   DTNIC_REQUIRE_MSG(scan_interval_s > 0.0, "scan interval must be positive");
-  DTNIC_REQUIRE_MSG(shard_threads <= 256, "shard_threads out of range (0 = auto, max 256)");
   DTNIC_REQUIRE_MSG(exchange_threads <= 256,
                     "exchange_threads out of range (0 = auto, max 256)");
   DTNIC_REQUIRE_MSG(spray_copies >= 1, "spray copies must be >= 1");

@@ -90,7 +90,6 @@ const std::map<std::string, Field>& registry() {
     add_double("scan_interval_s", &ScenarioConfig::scan_interval_s);
     add_double("ttl_sweep_interval_s", &ScenarioConfig::ttl_sweep_interval_s);
     add_double("sample_interval_s", &ScenarioConfig::sample_interval_s);
-    add_size("shard_threads", &ScenarioConfig::shard_threads);
     add_size("exchange_threads", &ScenarioConfig::exchange_threads);
     f["seed"] = Field{[](const ScenarioConfig& c) { return std::to_string(c.seed); },
                       [](ScenarioConfig& c, const std::string& v) {

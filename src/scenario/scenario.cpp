@@ -101,10 +101,8 @@ void Scenario::build() {
 
   net::ConnectivityManager* manager = nullptr;
   if (cfg_.contact_trace_file.empty()) {
-    const std::size_t shards =
-        cfg_.shard_threads == 0 ? util::ThreadPool::default_thread_count() : cfg_.shard_threads;
     auto owned = std::make_unique<net::ConnectivityManager>(
-        sim_, cfg_.radio, SimTime::seconds(cfg_.scan_interval_s), shards);
+        sim_, cfg_.radio, SimTime::seconds(cfg_.scan_interval_s));
     manager = owned.get();
     connectivity_ = manager;
     contacts_ = std::move(owned);

@@ -1,5 +1,7 @@
 #include "util/cli.h"
 
+#include <cstdlib>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -8,10 +10,33 @@
 
 namespace dtnic::util {
 
+namespace {
+
+/// True when \p parse accepts \p text.
+template <class ParseFn>
+bool parses(ParseFn parse, const std::string& text) {
+  try {
+    (void)parse(text);
+    return true;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+}
+
+}  // namespace
+
 void Cli::add_flag(const std::string& name, const std::string& default_value,
                    const std::string& help) {
   DTNIC_REQUIRE_MSG(!flags_.count(name), "duplicate flag: " + name);
-  flags_[name] = Flag{default_value, default_value, help, false};
+  Type type = Type::kString;
+  if (default_value == "true" || default_value == "false") {
+    type = Type::kBool;
+  } else if (parses(parse_int, default_value)) {
+    type = Type::kInt;
+  } else if (parses(parse_double, default_value)) {
+    type = Type::kDouble;
+  }
+  flags_[name] = Flag{default_value, default_value, help, type, false};
   order_.push_back(name);
 }
 
@@ -35,19 +60,51 @@ bool Cli::parse(int argc, const char* const* argv) {
     }
     auto it = flags_.find(name);
     if (it == flags_.end()) throw std::invalid_argument("unknown flag: --" + name);
+    Flag& flag = it->second;
+    if (flag.set) {
+      throw std::invalid_argument("flag --" + name +
+                                  " given twice; pass each flag once (join several --set "
+                                  "assignments with ';', e.g. --set \"a=1;b=2\")");
+    }
     if (!has_value) {
-      // `--flag value` unless the next token is another flag; bare booleans
-      // become "true".
+      // `--flag value` unless the next token is another flag; only booleans
+      // may stand bare, meaning "true".
       if (i + 1 < argc && !starts_with(argv[i + 1], "--")) {
         value = argv[++i];
-      } else {
+      } else if (flag.type == Type::kBool) {
         value = "true";
+      } else {
+        throw std::invalid_argument("flag --" + name + " needs a value");
       }
     }
-    it->second.value = value;
-    it->second.set = true;
+    try {
+      switch (flag.type) {
+        case Type::kBool: (void)parse_bool(value); break;
+        case Type::kInt: (void)parse_int(value); break;
+        case Type::kDouble: (void)parse_double(value); break;
+        case Type::kString: break;
+      }
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("flag --" + name + ": " + e.what());
+    }
+    flag.value = value;
+    flag.set = true;
   }
   return true;
+}
+
+void Cli::parse_or_exit(int argc, const char* const* argv, const std::string& program) {
+  bool proceed = false;
+  try {
+    proceed = parse(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << program << ": " << e.what() << "\n" << usage(program);
+    std::exit(2);
+  }
+  if (!proceed) {
+    std::cout << usage(program);
+    std::exit(0);
+  }
 }
 
 std::string Cli::usage(const std::string& program) const {

@@ -31,6 +31,11 @@ Config Config::parse(const std::string& text) {
       if (key.empty()) {
         throw std::invalid_argument("config line " + std::to_string(line_no) + ": empty key");
       }
+      if (cfg.has(key)) {
+        throw std::invalid_argument("config line " + std::to_string(line_no) + ": key '" + key +
+                                    "' already set on line " +
+                                    std::to_string(cfg.line_of(key)));
+      }
       cfg.set(key, value, line_no);
     }
   }

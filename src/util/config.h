@@ -18,7 +18,8 @@ class Config {
   /// Parse `key = value` entries separated by newlines or semicolons
   /// (semicolons allow inline overrides like "nodes=30; sim_hours=2").
   /// `#` starts a comment that runs to end of line. Throws
-  /// std::invalid_argument on malformed entries (line number in message).
+  /// std::invalid_argument on malformed entries (line number in message)
+  /// and on a key given twice in \p text (both line numbers in message).
   [[nodiscard]] static Config parse(const std::string& text);
 
   /// Load from a file; throws std::runtime_error if unreadable.

@@ -73,38 +73,6 @@ TEST(ExperimentStress, BufferChurnWithEnrichmentMatchesSerial) {
   }
 }
 
-/// Nested parallelism stress: whole-seed runs on the shared pool while every
-/// Scenario shards its contact scans on its own dedicated pool. Under TSan
-/// this exercises the staged-position writes, per-shard pair enumeration, and
-/// the serial commit/merge handshake from many scenarios at once; in plain
-/// builds it pins the tentpole contract — per-seed results are identical for
-/// every shard_threads value, including the auto (0) setting.
-TEST(ExperimentStress, ShardedScansUnderContentionMatchSerial) {
-  util::ThreadPool::set_shared_threads(4);
-  ScenarioConfig cfg = ScenarioConfig::scaled_defaults(30, 0.5);
-  cfg.scheme = Scheme::kIncentive;
-  cfg.selfish_fraction = 0.2;
-  cfg.malicious_fraction = 0.1;
-
-  const ExperimentRunner runner(/*seeds=*/6, /*base_seed=*/31);
-  cfg.shard_threads = 1;
-  const AggregateResult serial = runner.run(cfg);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{8}, std::size_t{0}}) {
-    cfg.shard_threads = shards;
-    const AggregateResult sharded = runner.run(cfg);
-    ASSERT_EQ(sharded.runs, serial.runs);
-    EXPECT_EQ(sharded.mdr.mean(), serial.mdr.mean()) << "shards=" << shards;
-    EXPECT_EQ(sharded.traffic.mean(), serial.traffic.mean()) << "shards=" << shards;
-    EXPECT_EQ(sharded.avg_final_tokens.mean(), serial.avg_final_tokens.mean());
-    for (std::size_t i = 0; i < sharded.raw.size(); ++i) {
-      EXPECT_EQ(sharded.raw[i].seed, serial.raw[i].seed);
-      EXPECT_EQ(sharded.raw[i].mdr, serial.raw[i].mdr);
-      EXPECT_EQ(sharded.raw[i].traffic, serial.raw[i].traffic);
-      EXPECT_EQ(sharded.raw[i].tokens_paid, serial.raw[i].tokens_paid);
-    }
-  }
-}
-
 TEST(ExperimentStress, RepeatedSweepsAreStable) {
   util::ThreadPool::set_shared_threads(4);
   std::vector<ScenarioConfig> points;
@@ -128,7 +96,7 @@ TEST(ExperimentStress, RepeatedSweepsAreStable) {
 
 /// Builds a churned grid from \p seed and returns the sorted pair list.
 /// Every caller with the same seed must observe bit-identical output no
-/// matter which scan kernel is active or what other threads are doing.
+/// matter what other threads are doing.
 std::vector<net::SpatialGrid::Pair> churned_pairs(std::uint64_t seed) {
   util::Rng rng(seed);
   net::SpatialGrid grid(100.0);
@@ -148,34 +116,26 @@ std::vector<net::SpatialGrid::Pair> churned_pairs(std::uint64_t seed) {
 }
 
 /// Concurrent scans on distinct grids: the kernels share only immutable
-/// state (decode table, empty-cell pad, the process-wide variant atomic), so
-/// threads hammering different grids must neither race under TSan nor
-/// perturb each other's output.
-TEST(ExperimentStress, ConcurrentScanVariantsOnDistinctGridsAgree) {
+/// state (the empty-cell pad), so threads hammering different grids must
+/// neither race under TSan nor perturb each other's output.
+TEST(ExperimentStress, ConcurrentScansOnDistinctGridsAgree) {
   using net::SpatialGrid;
-  const SpatialGrid::ScanVariant saved = SpatialGrid::scan_variant();
-  ASSERT_TRUE(SpatialGrid::set_scan_variant(SpatialGrid::ScanVariant::kScalar));
   std::vector<std::vector<SpatialGrid::Pair>> reference;
   for (std::uint64_t seed = 0; seed < 4; ++seed) reference.push_back(churned_pairs(seed));
 
-  for (const SpatialGrid::ScanVariant v : SpatialGrid::supported_scan_variants()) {
-    ASSERT_TRUE(SpatialGrid::set_scan_variant(v));
-    std::vector<std::thread> threads;
-    std::vector<std::vector<SpatialGrid::Pair>> got(4);
-    for (std::uint64_t seed = 0; seed < 4; ++seed) {
-      threads.emplace_back([&got, seed] { got[seed] = churned_pairs(seed); });
-    }
-    for (std::thread& th : threads) th.join();
-    for (std::uint64_t seed = 0; seed < 4; ++seed) {
-      ASSERT_EQ(got[seed].size(), reference[seed].size())
-          << SpatialGrid::scan_variant_name(v) << " seed " << seed;
-      EXPECT_EQ(std::memcmp(got[seed].data(), reference[seed].data(),
-                            got[seed].size() * sizeof(SpatialGrid::Pair)),
-                0)
-          << SpatialGrid::scan_variant_name(v) << " seed " << seed;
-    }
+  std::vector<std::thread> threads;
+  std::vector<std::vector<SpatialGrid::Pair>> got(4);
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    threads.emplace_back([&got, seed] { got[seed] = churned_pairs(seed); });
   }
-  ASSERT_TRUE(SpatialGrid::set_scan_variant(saved));
+  for (std::thread& th : threads) th.join();
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    ASSERT_EQ(got[seed].size(), reference[seed].size()) << "seed " << seed;
+    EXPECT_EQ(std::memcmp(got[seed].data(), reference[seed].data(),
+                          got[seed].size() * sizeof(SpatialGrid::Pair)),
+              0)
+        << "seed " << seed;
+  }
 }
 
 /// Concurrent timing wheels: each thread owns its queue, but the records

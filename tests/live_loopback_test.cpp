@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/incentive_router.h"
@@ -209,9 +212,11 @@ TEST(LiveLoopback, SilentPeerExpiresAndTransfersAbort) {
 /// well-behaved node would emit.
 class ForgedPeer {
  public:
-  ForgedPeer(LiveNode& target, std::uint32_t node) : target_(target), node_(node), socket_(0) {
+  ForgedPeer(LiveNode& target, std::uint32_t node, std::int32_t rank = 1)
+      : target_(target), node_(node), socket_(0) {
     wire::HelloFrame hello;
     hello.node = node_;
+    hello.rank = rank;
     hello.keyword_pool_hash = target.keyword_pool_hash();
     send(hello);
   }
@@ -240,6 +245,20 @@ class ForgedPeer {
       target_.service(now);
     }
     return target_.rejected_frames() - before;
+  }
+
+  /// The first OFFER among the frames the target has sent this peer so far.
+  std::optional<wire::OfferFrame> next_offer() {
+    while (auto datagram = socket_.receive()) {
+      std::span<const std::uint8_t> rest(datagram->bytes);
+      while (!rest.empty()) {
+        const auto decoded = wire::decode_frame(rest);
+        if (!decoded) break;
+        rest = rest.subspan(decoded->consumed);
+        if (const auto* offer = std::get_if<wire::OfferFrame>(&decoded->frame)) return *offer;
+      }
+    }
+    return std::nullopt;
   }
 
   [[nodiscard]] NodeId id() const { return node_; }
@@ -308,6 +327,56 @@ TEST(LiveLoopback, NonFiniteGossipRatingsAreRejected) {
   EXPECT_EQ(forger.deliver(gossip(99.0), now), 0u);
   EXPECT_DOUBLE_EQ(ratings.rating_of(NodeId(8)), 4.0);
   EXPECT_DOUBLE_EQ(ratings.rating_of(NodeId(9)), ratings.params().rating_max);
+}
+
+TEST(LiveLoopback, HelloWithRankBelowOneIsRejected) {
+  // Rank 0 would trip the promise computation's precondition and throw out
+  // of service() on the first plan against that peer.
+  LiveNode a(base_config(1));
+  SimTime now = SimTime::zero();
+  ForgedPeer forger(a, 7, /*rank=*/0);
+  EXPECT_FALSE(forger.linked(now));
+  EXPECT_GT(a.rejected_frames(), 0u);
+}
+
+TEST(LiveLoopback, ForgedReceiptsCreditAtMostThePlannedBound) {
+  const LiveNodeConfig cfg = base_config(1);
+  LiveNode a(cfg);
+  SimTime now = SimTime::zero();
+  ForgedPeer forger(a, 7);
+  ASSERT_TRUE(forger.linked(now));
+  const msg::MessageId id = a.publish({"news"}, now, 1024, msg::Priority::kHigh, 1.0);
+  // A digest with "news" (keyword 0) as a direct interest makes the forger a
+  // destination: a plans and offers the message to it.
+  ASSERT_EQ(forger.deliver(digest_of(forger.id(), 1, 0.5), now), 0u);
+  const std::optional<wire::OfferFrame> offer = forger.next_offer();
+  ASSERT_TRUE(offer.has_value());
+  ASSERT_EQ(offer->message, id);
+  ASSERT_EQ(offer->role, routing::TransferRole::kDestination);
+  const double before = a.tokens();
+
+  // Claims no honest receiver can make are dropped whole: nothing credited,
+  // and the transfer stays open for the real receipt.
+  const auto receipt = [id](routing::TransferRole role, double amount) {
+    return wire::ReceiptFrame{id, role, amount};
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(forger.deliver(receipt(routing::TransferRole::kDestination, inf), now), 1u);
+  EXPECT_EQ(forger.deliver(receipt(routing::TransferRole::kDestination, nan), now), 1u);
+  EXPECT_EQ(forger.deliver(receipt(routing::TransferRole::kDestination, -1.0), now), 1u);
+  EXPECT_EQ(forger.deliver(receipt(routing::TransferRole::kRelay, 1.0), now), 1u);
+  EXPECT_EQ(a.tokens(), before);
+
+  // An inflated claim credits only what a's own plan bounds: the promise
+  // plus the largest tag reward a destination can owe.
+  EXPECT_EQ(forger.deliver(receipt(routing::TransferRole::kDestination, 1e9), now), 0u);
+  EXPECT_DOUBLE_EQ(a.tokens() - before,
+                   offer->promise + cfg.scenario.incentive.tag_reward_cap);
+  // The receipt closed the transfer: a replay credits nothing more.
+  const double settled = a.tokens();
+  EXPECT_EQ(forger.deliver(receipt(routing::TransferRole::kDestination, 1e9), now), 0u);
+  EXPECT_EQ(a.tokens(), settled);
 }
 
 TEST(LiveLoopback, TraceReplayReproducesLiveCounters) {

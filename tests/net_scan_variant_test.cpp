@@ -1,24 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
 #include "net/spatial_grid.h"
 #include "util/rng.h"
 
-/// Property tests for the interchangeable contact-scan kernels: every
-/// supported variant (scalar always; SSE2/AVX2 when built + supported) must
-/// produce *bit-identical* sorted pair streams — ids and distance doubles —
-/// for any population, radius, churn history, and shard decomposition. This
-/// is the invariant the fig5x determinism guarantee stands on.
+/// Property tests for the contact-scan kernels: `pairs_within` (the SSE2
+/// kernel on targets with `__SSE2__`, the scalar one elsewhere) must produce
+/// a sorted pair stream *bit-identical* — ids and distance doubles — to the
+/// scalar reference kernel, for any population, radius and churn history.
+/// This is the invariant the fig5x determinism guarantee stands on.
 
 namespace dtnic::net {
+
+/// Test-only access to the scalar reference kernel.
+struct SpatialGridTestPeer {
+  static std::vector<SpatialGrid::Pair> scalar_pairs(const SpatialGrid& grid, double radius) {
+    std::vector<SpatialGrid::Pair> out;
+    grid.scan_with(&SpatialGrid::scan_kernel_scalar, radius, out);
+    return out;
+  }
+};
+
 namespace {
 
 using util::NodeId;
 using util::Vec2;
 using Pair = SpatialGrid::Pair;
-using Variant = SpatialGrid::ScanVariant;
 
 /// Bitwise comparison including the distance doubles (Pair has no padding:
 /// 4 + 4 + 8 bytes).
@@ -29,31 +39,41 @@ using Variant = SpatialGrid::ScanVariant;
   return std::memcmp(a.data(), b.data(), a.size() * sizeof(Pair)) == 0;
 }
 
-class ScanVariantTest : public ::testing::Test {
- protected:
-  void SetUp() override { entry_variant_ = SpatialGrid::scan_variant(); }
-  void TearDown() override { SpatialGrid::set_scan_variant(entry_variant_); }
-
- private:
-  Variant entry_variant_ = Variant::kScalar;
-};
-
-/// Run pairs_within under \p v and return the sorted stream.
-std::vector<Pair> scan_with(const SpatialGrid& grid, double radius, Variant v) {
-  EXPECT_TRUE(SpatialGrid::set_scan_variant(v));
-  std::vector<Pair> out;
-  grid.pairs_within(radius, out);
-  return out;
+/// Scan \p grid with the compiled kernel and with the scalar reference.
+void expect_kernels_agree(const SpatialGrid& grid, double radius, int round = -1) {
+  const std::vector<Pair> reference = SpatialGridTestPeer::scalar_pairs(grid, radius);
+  std::vector<Pair> got;
+  grid.pairs_within(radius, got);
+  EXPECT_TRUE(bit_identical(reference, got))
+      << "compiled kernel diverged from scalar (radius " << radius << ", round " << round << ")";
 }
 
-TEST_F(ScanVariantTest, ScalarAlwaysSupported) {
-  const auto variants = SpatialGrid::supported_scan_variants();
-  ASSERT_FALSE(variants.empty());
-  EXPECT_EQ(variants.front(), Variant::kScalar);
-  EXPECT_FALSE(SpatialGrid::set_scan_variant(static_cast<Variant>(99)));
+TEST(ScanVariantTest, ScalarAlwaysSupported) {
+  // The scalar kernel is compiled into every build, so the oracle the other
+  // tests compare against is always there. Check the oracle itself against
+  // a brute-force all-pairs enumeration with the same d² expression, on a
+  // population with negative coordinates and overflowing cells.
+  util::Rng rng(11);
+  SpatialGrid grid(50.0);
+  std::vector<Vec2> pos;
+  for (std::uint32_t i = 0; i < 160; ++i) {
+    pos.push_back({rng.uniform(-150.0, 150.0), rng.uniform(-150.0, 150.0)});
+    grid.insert(NodeId(i), pos.back());
+  }
+  std::vector<Pair> brute;
+  for (std::uint32_t i = 0; i < pos.size(); ++i) {
+    for (std::uint32_t j = i + 1; j < pos.size(); ++j) {
+      const double dx = pos[i].x - pos[j].x;
+      const double dy = pos[i].y - pos[j].y;
+      const double d2 = dx * dx + dy * dy;
+      if (d2 <= 50.0 * 50.0) brute.push_back(Pair{NodeId(i), NodeId(j), std::sqrt(d2)});
+    }
+  }
+  ASSERT_GT(brute.size(), 100u);
+  EXPECT_TRUE(bit_identical(brute, SpatialGridTestPeer::scalar_pairs(grid, 50.0)));
 }
 
-TEST_F(ScanVariantTest, RandomizedChurnBitIdenticalAcrossVariants) {
+TEST(ScanVariantTest, RandomizedChurnBitIdenticalAcrossVariants) {
   util::Rng rng(20240807);
   SpatialGrid grid(100.0);
   const int n = 300;
@@ -76,71 +96,22 @@ TEST_F(ScanVariantTest, RandomizedChurnBitIdenticalAcrossVariants) {
       }
       grid.update_slot(slots[static_cast<std::size_t>(i)], pos[i]);
     }
-    const double radius = radii[round % 3];
-    const std::vector<Pair> reference = scan_with(grid, radius, Variant::kScalar);
-    for (const Variant v : SpatialGrid::supported_scan_variants()) {
-      const std::vector<Pair> got = scan_with(grid, radius, v);
-      EXPECT_TRUE(bit_identical(reference, got))
-          << "variant " << SpatialGrid::scan_variant_name(v) << " diverged in round " << round;
-    }
+    expect_kernels_agree(grid, radii[round % 3], round);
   }
 }
 
-TEST_F(ScanVariantTest, ShardedEnumerationBitIdenticalAcrossVariants) {
-  util::Rng rng(99);
-  SpatialGrid grid(50.0);
-  for (int i = 0; i < 200; ++i) {
-    grid.insert(NodeId(static_cast<std::uint32_t>(i)),
-                {rng.uniform(-400.0, 400.0), rng.uniform(-400.0, 400.0)});
-  }
-  const std::vector<Pair> serial = scan_with(grid, 50.0, Variant::kScalar);
-  for (const Variant v : SpatialGrid::supported_scan_variants()) {
-    ASSERT_TRUE(SpatialGrid::set_scan_variant(v));
-    for (const std::uint32_t shard_count : {1u, 2u, 3u, 5u, 8u}) {
-      // The shard streams are disjoint and each sorted by (a, b); a k-way
-      // merge must reproduce the serial stream bit for bit.
-      std::vector<std::vector<Pair>> parts(shard_count);
-      SpatialGrid::SortScratch scratch;
-      for (std::uint32_t s = 0; s < shard_count; ++s) {
-        grid.pairs_within_shard(50.0, s, shard_count, parts[s], scratch);
-      }
-      std::vector<Pair> merged;
-      std::vector<std::size_t> cursor(shard_count, 0);
-      const auto key = [](const Pair& p) {
-        return (static_cast<std::uint64_t>(p.a.value()) << 32) | p.b.value();
-      };
-      for (;;) {
-        int best = -1;
-        for (std::uint32_t s = 0; s < shard_count; ++s) {
-          if (cursor[s] == parts[s].size()) continue;
-          if (best < 0 || key(parts[s][cursor[s]]) <
-                              key(parts[static_cast<std::uint32_t>(best)]
-                                       [cursor[static_cast<std::uint32_t>(best)]])) {
-            best = static_cast<int>(s);
-          }
-        }
-        if (best < 0) break;
-        merged.push_back(parts[static_cast<std::uint32_t>(best)]
-                              [cursor[static_cast<std::uint32_t>(best)]++]);
-      }
-      EXPECT_TRUE(bit_identical(serial, merged))
-          << "variant " << SpatialGrid::scan_variant_name(v) << " shards " << shard_count;
-    }
-  }
-}
-
-TEST_F(ScanVariantTest, BoundaryAndCoincidentDistances) {
-  for (const Variant v : SpatialGrid::supported_scan_variants()) {
-    SpatialGrid grid(100.0);
-    grid.insert(NodeId(1), {0.0, 0.0});
-    grid.insert(NodeId(2), {100.0, 0.0});  // exactly at the radius: included
-    grid.insert(NodeId(3), {0.0, 0.0});    // coincident: distance 0
-    // Just outside: dx is exactly 0 so d^2 = (100 + 1e-9)^2, which is
-    // representably greater than 100^2. (A 1e-9 nudge on the *other* axis
-    // would vanish: 10000 + 1e-18 rounds back to 10000 and passes the test.)
-    grid.insert(NodeId(4), {100.0, 100.0 + 1e-9});
-    const std::vector<Pair> pairs = scan_with(grid, 100.0, v);
-    ASSERT_EQ(pairs.size(), 3u) << SpatialGrid::scan_variant_name(v);
+TEST(ScanVariantTest, BoundaryAndCoincidentDistances) {
+  SpatialGrid grid(100.0);
+  grid.insert(NodeId(1), {0.0, 0.0});
+  grid.insert(NodeId(2), {100.0, 0.0});  // exactly at the radius: included
+  grid.insert(NodeId(3), {0.0, 0.0});    // coincident: distance 0
+  // Just outside: dx is exactly 0 so d^2 = (100 + 1e-9)^2, which is
+  // representably greater than 100^2. (A 1e-9 nudge on the *other* axis
+  // would vanish: 10000 + 1e-18 rounds back to 10000 and passes the test.)
+  grid.insert(NodeId(4), {100.0, 100.0 + 1e-9});
+  for (const std::vector<Pair>& pairs :
+       {grid.pairs_within(100.0), SpatialGridTestPeer::scalar_pairs(grid, 100.0)}) {
+    ASSERT_EQ(pairs.size(), 3u);
     EXPECT_EQ(pairs[0].a, NodeId(1));
     EXPECT_EQ(pairs[0].b, NodeId(2));
     EXPECT_EQ(pairs[0].distance_m, 100.0);
@@ -149,11 +120,12 @@ TEST_F(ScanVariantTest, BoundaryAndCoincidentDistances) {
     EXPECT_EQ(pairs[2].a, NodeId(2));
     EXPECT_EQ(pairs[2].b, NodeId(3));
   }
+  expect_kernels_agree(grid, 100.0);
 }
 
-TEST_F(ScanVariantTest, OverflowCellsTakeIdenticalFallback) {
-  // Cram well past kInline entries into single cells so the SIMD kernels
-  // route those cells through the scalar fallback; output must stay
+TEST(ScanVariantTest, OverflowCellsTakeIdenticalFallback) {
+  // Cram well past kInline entries into single cells so the SSE2 kernel
+  // routes those cells through the scalar fallback; output must stay
   // bit-identical, including pairs between an overflowing cell and a
   // vectorizable neighbor.
   util::Rng rng(7);
@@ -165,12 +137,8 @@ TEST_F(ScanVariantTest, OverflowCellsTakeIdenticalFallback) {
   for (int i = 0; i < 3; ++i) {  // sparse neighbor cell (vector path)
     grid.insert(NodeId(++id), {110.0 + rng.uniform(0.0, 80.0), 10.0 + rng.uniform(0.0, 80.0)});
   }
-  const std::vector<Pair> reference = scan_with(grid, 100.0, Variant::kScalar);
-  ASSERT_GT(reference.size(), 60u);
-  for (const Variant v : SpatialGrid::supported_scan_variants()) {
-    EXPECT_TRUE(bit_identical(reference, scan_with(grid, 100.0, v)))
-        << SpatialGrid::scan_variant_name(v);
-  }
+  ASSERT_GT(SpatialGridTestPeer::scalar_pairs(grid, 100.0).size(), 60u);
+  expect_kernels_agree(grid, 100.0);
 }
 
 }  // namespace

@@ -15,8 +15,7 @@
 /// must produce byte-identical traces, reports, and link-event order to the
 /// fully serial pump. exchange_threads == 1 runs the original serial loop,
 /// so comparing 1 against {2, 4, 8, auto} proves the staged plan/commit
-/// replay reproduces the serial exchange exactly. Styled after
-/// net_shard_determinism_test.cpp.
+/// replay reproduces the serial exchange exactly.
 ///
 /// This file is also compiled into dtnic_stress_tests: under TSan
 /// (`ctest -L tsan-stress`) the multi-threaded plan stage of every run here

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/config.h"
@@ -67,6 +70,24 @@ TEST(Config, MergeOverlays) {
   EXPECT_EQ(base.get_int("c", 0), 4);
 }
 
+TEST(Config, DuplicateKeyInOneTextThrows) {
+  // One file or one --set string must not silently keep only the last value.
+  try {
+    (void)Config::parse("a = 1\nb = 2\n# comment\na = 3\n");
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'a'"), std::string::npos) << what;
+    EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)Config::parse("a=1;a=2"), std::invalid_argument);
+  // Overlaying a second text stays last-wins.
+  auto base = Config::parse("a = 1\n");
+  base.merge(Config::parse("a = 2\n"));
+  EXPECT_EQ(base.get_int("a", 0), 2);
+}
+
 TEST(Config, LoadFileMissingThrows) {
   EXPECT_THROW((void)Config::load_file("/nonexistent/path/cfg.txt"), std::runtime_error);
 }
@@ -120,6 +141,64 @@ TEST(Cli, HelpReturnsFalse) {
   const char* argv[] = {"prog", "--help"};
   EXPECT_FALSE(cli.parse(2, argv));
   EXPECT_NE(cli.usage("prog").find("--x"), std::string::npos);
+}
+
+TEST(Cli, RepeatedFlagThrows) {
+  // The second --set used to overwrite the first silently.
+  Cli cli;
+  cli.add_flag("set", "", "");
+  const char* argv[] = {"prog", "--set", "a=1", "--set=b=2"};
+  try {
+    (void)cli.parse(4, argv);
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--set"), std::string::npos) << what;
+    EXPECT_NE(what.find("';'"), std::string::npos) << what;
+  }
+}
+
+TEST(Cli, BareValueFlagThrows) {
+  // A bare value flag used to parse as "true"; only booleans may stand bare.
+  Cli cli;
+  cli.add_flag("threads", "0", "");
+  cli.add_flag("verbose", "false", "");
+  const char* last[] = {"prog", "--threads"};
+  EXPECT_THROW((void)cli.parse(2, last), std::invalid_argument);
+  const char* before_flag[] = {"prog", "--threads", "--verbose"};
+  EXPECT_THROW((void)cli.parse(3, before_flag), std::invalid_argument);
+}
+
+TEST(Cli, ValuesMustParseAsTheDefaultsType) {
+  const auto parse_one = [](const char* default_value, const char* arg) {
+    Cli cli;
+    cli.add_flag("x", default_value, "");
+    const char* argv[] = {"prog", arg};
+    return cli.parse(2, argv);
+  };
+  EXPECT_THROW((void)parse_one("0", "--x=abc"), std::invalid_argument);
+  EXPECT_THROW((void)parse_one("0", "--x=2.5"), std::invalid_argument);
+  EXPECT_THROW((void)parse_one("0.5", "--x=1.5x"), std::invalid_argument);
+  EXPECT_THROW((void)parse_one("false", "--x=maybe"), std::invalid_argument);
+  EXPECT_TRUE(parse_one("0", "--x=-3"));
+  EXPECT_TRUE(parse_one("0.5", "--x=2"));
+  EXPECT_TRUE(parse_one("false", "--x=on"));
+  EXPECT_TRUE(parse_one("table", "--x=anything"));
+}
+
+TEST(Cli, ParseOrExitReportsMisuseWithExitCodeTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto run = [](std::vector<const char*> argv) {
+    Cli cli;
+    cli.add_flag("nodes", "0", "node count");
+    argv.insert(argv.begin(), "prog");
+    cli.parse_or_exit(static_cast<int>(argv.size()), argv.data(), "prog");
+    std::exit(7);  // parse succeeded: the program would run on
+  };
+  EXPECT_EXIT(run({"--nodes", "abc"}), ::testing::ExitedWithCode(2), "--nodes.*usage: prog");
+  EXPECT_EXIT(run({"--bogus"}), ::testing::ExitedWithCode(2), "unknown flag");
+  EXPECT_EXIT(run({"--help"}), ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(run({"--nodes", "3"}), ::testing::ExitedWithCode(7), "");
 }
 
 TEST(Cli, DuplicateFlagDeclarationThrows) {
