@@ -136,7 +136,6 @@ void write_manifest_file(const std::string& path, const scenario::ScenarioConfig
       {"scan", agg.scan_ms.mean()},
       {"routing", agg.routing_ms.mean()},
       {"routing_pre", agg.routing_pre_ms.mean()},
-      {"routing_plan", agg.routing_plan_ms.mean()},
       {"routing_commit", agg.routing_commit_ms.mean()},
       {"transfer", agg.transfer_ms.mean()},
       {"workload", agg.workload_ms.mean()},
@@ -315,8 +314,7 @@ int main(int argc, char** argv) {
     trow("contact scan", agg.scan_ms);
     trow("routing", agg.routing_ms);
     trow("  pre-exchange", agg.routing_pre_ms);
-    trow("  plan", agg.routing_plan_ms);
-    trow("  commit", agg.routing_commit_ms);
+    trow("  exchange", agg.routing_commit_ms);
     trow("transfer", agg.transfer_ms);
     trow("workload", agg.workload_ms);
     trow("wall", agg.wall_ms);

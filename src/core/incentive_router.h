@@ -123,11 +123,6 @@ class IncentiveRouter final : public routing::ChitChatRouter {
   /// link-down. One entry per live neighbor (a handful), so a linear scan.
   DistanceList contact_distance_;
   /// plan_into scratch (reused across contacts; steady-state allocation-free).
-  /// THREADING: member scratch makes plan_into non-reentrant per router; the
-  /// staged exchange guarantees exclusion by locking this node's host mutex
-  /// for the duration of any plan task whose lock set contains it. The
-  /// promise path additionally reads neighbor routers' strength caches,
-  /// which is why a link's lock set includes both endpoints' neighborhoods.
   PromiseContext promise_ctx_;
   std::vector<KeyedPlan> keyed_scratch_;
 };

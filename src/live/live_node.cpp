@@ -515,7 +515,12 @@ void LiveNode::deliver_received(PeerState& ps, const wire::OfferFrame& offer, ms
   send_frame(ps, wire::ReceiptFrame{m.id(), offer.role, paid});
 
   rate_and_record(m);
-  host_.buffer().add(std::move(m), /*own=*/false);
+  // Copies evicted to make room are drops, as in the simulator's
+  // Router::store.
+  const auto outcome = host_.buffer().add(std::move(m), /*own=*/false);
+  for (const msg::Message& evicted : outcome.evicted) {
+    fanout_.on_dropped(host_.id(), evicted, routing::DropReason::kBufferFull);
+  }
 }
 
 void LiveNode::rate_and_record(msg::Message& m) {
@@ -546,7 +551,10 @@ void LiveNode::handle_receipt(PeerState& ps, const wire::ReceiptFrame& f) {
   auto it = outgoing_.find(transfer_key(ps.peer.id(), f.message));
   if (it == outgoing_.end()) return;
   const routing::ForwardPlan& plan = it->second.plan;
-  if (!std::isfinite(f.amount) || f.amount < 0.0 || f.role != plan.role) {
+  // A receipt settles only a transfer whose DATA has all been sent; a peer
+  // that answers a bare OFFER with a RECEIPT has received nothing to pay for.
+  if (!it->second.awaiting_receipt || !std::isfinite(f.amount) || f.amount < 0.0 ||
+      f.role != plan.role) {
     ++rejected_frames_;
     return;
   }

@@ -96,7 +96,8 @@ class LiveNode {
   [[nodiscard]] double tokens() const;
   /// Frames received that failed to decode, failed compatibility gating, or
   /// carried out-of-range state (digest keyword ids/weights, NaN ratings,
-  /// receipts with a non-finite or negative amount or the wrong role).
+  /// receipts with a non-finite or negative amount or the wrong role, or
+  /// for a transfer whose DATA has not all been sent).
   [[nodiscard]] std::uint64_t rejected_frames() const { return rejected_frames_; }
 
  private:

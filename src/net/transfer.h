@@ -53,10 +53,7 @@ class TransferManager {
   void link_up(NodeId a, NodeId b);
   void link_down(NodeId a, NodeId b);
 
-  /// Pure reads of the link table. The scenario's staged exchange calls
-  /// both concurrently from plan tasks while no mutator can run (link
-  /// up/down and start() happen only on the serial commit side), so they
-  /// must stay side-effect-free const lookups.
+  /// Pure reads of the link table.
   [[nodiscard]] bool link_exists(NodeId a, NodeId b) const;
   [[nodiscard]] bool link_busy(NodeId a, NodeId b) const;
   /// Links currently tracked / transfers currently in flight (leak checks).

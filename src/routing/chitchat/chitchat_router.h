@@ -56,14 +56,6 @@ class ChitChatRouter : public Router {
   /// one contact plan/promise round the sum is computed once per message,
   /// not once per query. The cached value is always bit-identical to a
   /// from-scratch sum_weights over the same keyword list.
-  ///
-  /// THREADING: logically const but structurally mutating (it populates
-  /// strength_cache_). The staged exchange may query a router's strength
-  /// from several links' plan tasks — the scenario serializes those callers
-  /// by locking this node's host mutex (the lock set of a planned link
-  /// covers both endpoints and their neighborhoods). Population order never
-  /// changes the returned values, so the lock only prevents the structural
-  /// data race, not a behavioral one.
   [[nodiscard]] double message_strength(const msg::Message& m) const;
 
  protected:

@@ -18,7 +18,8 @@
 /// The interface is deliberately read-only: everything a sender may learn
 /// about a peer during an exchange is information the live protocol actually
 /// puts on the wire. Mutating the peer (delivering a copy, paying tokens)
-/// stays on the commit-side hooks, which remain transport-specific.
+/// stays on the transfer hooks (on_sent, on_received), which remain
+/// transport-specific.
 
 namespace dtnic::routing {
 

@@ -91,17 +91,13 @@ class Router {
   /// routers (ChitChat and the incentive schemes) implement their planning
   /// here and derive plan() from it.
   ///
-  /// PLAN-SIDE PURITY CONTRACT (the parallel exchange depends on it): the
-  /// scenario's staged exchange calls plan_into and accept concurrently for
-  /// different links while holding exclusive locks over {self, peer} and
-  /// both neighborhoods. An implementation must therefore (a) produce
-  /// outputs that are a deterministic function of state frozen for the tick
-  /// — no RNG draws, no time-of-call dependence beyond \p now — and
-  /// (b) confine any mutation to logically-const memoization or member
-  /// scratch of routers in that locked set (e.g. the ChitChat strength
-  /// cache, PRoPHET's idempotent same-timestamp aging). Observable protocol
-  /// state may only change in the commit-side hooks (on_sent, on_received,
-  /// on_link_up/down), which always run serially.
+  /// PLAN-SIDE PURITY CONTRACT: plan_into and accept change no observable
+  /// state and draw no RNG, so a caller may plan or probe a link without
+  /// perturbing the run. Mutation is confined to logically-const
+  /// memoization and member scratch (e.g. the ChitChat strength cache,
+  /// PRoPHET's idempotent same-timestamp aging). Observable protocol state
+  /// changes only in the transfer hooks (on_sent, on_received) and the
+  /// contact hooks (on_link_up/down).
   virtual void plan_into(Host& self, Host& peer, util::SimTime now,
                          std::vector<ForwardPlan>& out) {
     out = plan(self, peer, now);
@@ -112,7 +108,7 @@ class Router {
   /// Subject to the same plan-side purity contract as plan_into: the base
   /// implementation is a read-only has_seen check, and every in-tree
   /// override only reads state (ratings trust gate, ledger affordability,
-  /// buffer admission) of the locked {self, from} pair.
+  /// buffer admission).
   ///
   /// \p from is the transport-neutral Peer view of the sender (peer.h): in
   /// the simulator it is the sending Host; in live mode it is the

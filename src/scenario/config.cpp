@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "scenario/router_factory.h"
 #include "util/assert.h"
@@ -24,12 +26,20 @@ void ScenarioConfig::validate() const {
   DTNIC_REQUIRE_MSG(message_size_bytes > 0, "message size must be positive");
   DTNIC_REQUIRE_MSG(message_size_bytes <= buffer_capacity_bytes,
                     "a single message must fit in the buffer");
-  DTNIC_REQUIRE_MSG(selfish_fraction >= 0.0 && selfish_fraction <= 1.0,
-                    "selfish fraction in [0,1]");
-  DTNIC_REQUIRE_MSG(malicious_fraction >= 0.0 && malicious_fraction <= 1.0,
-                    "malicious fraction in [0,1]");
-  DTNIC_REQUIRE_MSG(battery_conscious_fraction >= 0.0 && battery_conscious_fraction <= 1.0,
-                    "battery-conscious fraction in [0,1]");
+  // NaN fails every comparison, so these reject it too.
+  const std::pair<const char*, double> fractions[] = {
+      {"selfish_fraction", selfish_fraction},
+      {"malicious_fraction", malicious_fraction},
+      {"battery_conscious_fraction", battery_conscious_fraction},
+      {"officer_fraction", officer_fraction},
+      {"selfish_participation", selfish_participation},
+      {"enrich_probability", enrich_probability},
+      {"battery_threshold", battery_threshold},
+      {"battery_participation", battery_participation},
+  };
+  for (const auto& [name, value] : fractions) {
+    DTNIC_REQUIRE_MSG(value >= 0.0 && value <= 1.0, std::string(name) + " must be in [0,1]");
+  }
   DTNIC_REQUIRE_MSG(selfish_fraction + malicious_fraction + battery_conscious_fraction <= 1.0,
                     "behavior fractions exceed the population");
   DTNIC_REQUIRE_MSG(battery_capacity_j > 0.0, "battery capacity must be positive");
@@ -38,8 +48,14 @@ void ScenarioConfig::validate() const {
   DTNIC_REQUIRE_MSG(min_speed_mps > 0.0 && max_speed_mps >= min_speed_mps,
                     "speed range invalid");
   DTNIC_REQUIRE_MSG(scan_interval_s > 0.0, "scan interval must be positive");
-  DTNIC_REQUIRE_MSG(exchange_threads <= 256,
-                    "exchange_threads out of range (0 = auto, max 256)");
+  const std::pair<const char*, double> intervals[] = {
+      {"sample_interval_s", sample_interval_s},
+      {"ttl_sweep_interval_s", ttl_sweep_interval_s},
+  };
+  for (const auto& [name, value] : intervals) {
+    DTNIC_REQUIRE_MSG(std::isfinite(value) && value > 0.0,
+                      std::string(name) + " must be finite and positive");
+  }
   DTNIC_REQUIRE_MSG(spray_copies >= 1, "spray copies must be >= 1");
   if (mobility == MobilityKind::kHotspot) {
     DTNIC_REQUIRE_MSG(hotspot_count >= 1, "hotspot mobility needs at least one hotspot");

@@ -119,13 +119,6 @@ struct ScenarioConfig {
   double ttl_sweep_interval_s = 600.0;
   double sample_interval_s = 1800.0;  ///< metric time-series sampling
 
-  /// Intra-tick threads for the routing/exchange phase (see DESIGN.md
-  /// "Parallel exchange phase"). 1 = the serial pump; >1 plans all connected
-  /// pairs in parallel and commits serially; 0 = one thread per hardware
-  /// thread. Output is bit-identical for every value, so this is purely a
-  /// speed knob.
-  std::size_t exchange_threads = 1;
-
   std::uint64_t seed = 1;
 
   /// Validate invariants; throws std::invalid_argument on nonsense.

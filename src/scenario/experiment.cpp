@@ -76,7 +76,6 @@ AggregateResult ExperimentRunner::aggregate(std::string scheme, std::vector<RunR
     agg.scan_ms.add(static_cast<double>(r.timing.scan_ns) * kMs);
     agg.routing_ms.add(static_cast<double>(r.timing.routing_ns) * kMs);
     agg.routing_pre_ms.add(static_cast<double>(r.timing.routing_pre_ns) * kMs);
-    agg.routing_plan_ms.add(static_cast<double>(r.timing.routing_plan_ns) * kMs);
     agg.routing_commit_ms.add(static_cast<double>(r.timing.routing_commit_ns) * kMs);
     agg.transfer_ms.add(static_cast<double>(r.timing.transfer_ns) * kMs);
     agg.workload_ms.add(static_cast<double>(r.timing.workload_ns) * kMs);

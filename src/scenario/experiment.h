@@ -63,10 +63,9 @@ struct AggregateResult {
   /// only: never part of figure outputs).
   util::RunningStats scan_ms;
   util::RunningStats routing_ms;
-  /// Routing sub-phases (see PhaseTimings): pre-exchange handlers, the
-  /// staged-exchange plan stage, and the serial commit stage.
+  /// Routing sub-phases (see PhaseTimings): pre-exchange handlers and the
+  /// exchange tick (routing_commit_ns).
   util::RunningStats routing_pre_ms;
-  util::RunningStats routing_plan_ms;
   util::RunningStats routing_commit_ms;
   util::RunningStats transfer_ms;
   util::RunningStats workload_ms;

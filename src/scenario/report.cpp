@@ -148,13 +148,11 @@ void Reporter::timing_report(const PhaseTimings& timing) {
     o.num("scan_ms", static_cast<double>(timing.scan_ns) * kMs);
     o.num("routing_ms", static_cast<double>(timing.routing_ns) * kMs);
     o.num("routing_pre_ms", static_cast<double>(timing.routing_pre_ns) * kMs);
-    o.num("routing_plan_ms", static_cast<double>(timing.routing_plan_ns) * kMs);
     o.num("routing_commit_ms", static_cast<double>(timing.routing_commit_ns) * kMs);
     o.num("transfer_ms", static_cast<double>(timing.transfer_ns) * kMs);
     o.num("workload_ms", static_cast<double>(timing.workload_ns) * kMs);
     o.num("wall_ms", static_cast<double>(timing.wall_ns) * kMs);
     o.u64("scans", timing.scans);
-    o.u64("exchange_replans", timing.exchange_replans);
     o.write(os_);
     return;
   }
@@ -168,8 +166,7 @@ void Reporter::timing_report(const PhaseTimings& timing) {
   row("contact scan", timing.scan_ns);
   row("routing", timing.routing_ns);
   row("  pre-exchange", timing.routing_pre_ns);
-  row("  plan", timing.routing_plan_ns);
-  row("  commit", timing.routing_commit_ns);
+  row("  exchange", timing.routing_commit_ns);
   row("transfer", timing.transfer_ns);
   row("workload", timing.workload_ns);
   table.add_row({"wall", util::Table::cell(wall_ms, 2), util::Table::cell(100.0, 1)});
@@ -182,9 +179,6 @@ void Reporter::timing_report(const PhaseTimings& timing) {
                               static_cast<double>(timing.scans) * 1e-3,
                           2)
           << " us/scan)";
-    }
-    if (timing.exchange_replans > 0) {
-      os_ << "  exchange replans: " << timing.exchange_replans;
     }
     os_ << "\n";
   }

@@ -20,23 +20,20 @@ namespace dtnic::scenario {
 struct PhaseTimings {
   std::uint64_t scan_ns = 0;      ///< connectivity scans (contact detection)
   std::uint64_t routing_ns = 0;   ///< link up/down handlers + pump ticks
-  /// Routing sub-phases; they partition routing_ns (pre + plan + commit).
+  /// Routing sub-phases; routing_pre_ns + routing_commit_ns = routing_ns.
   /// pre: contact handlers (pre-exchange, link up/down, their inline pumps).
-  /// plan: the read-only exchange planning stage of pump_all_idle (wall time
-  /// of the parallel fan-out when exchange_threads > 1).
-  /// commit: the serial replay stage; a fully serial exchange accounts its
-  /// fused plan+commit loop here and leaves routing_plan_ns at zero.
+  /// commit: the exchange tick (pump_all_idle: plan, accept and transfer
+  /// start over every connected pair); reported as "exchange".
   std::uint64_t routing_pre_ns = 0;
+  /// Always 0: the exchange has no separate planning stage, so its plan_into
+  /// calls are booked in routing_commit_ns. Kept for readers that sum plan +
+  /// commit (perfbench/harness.cpp).
   std::uint64_t routing_plan_ns = 0;
   std::uint64_t routing_commit_ns = 0;
   std::uint64_t transfer_ns = 0;  ///< transfer completion/abort handling
   std::uint64_t workload_ns = 0;  ///< message creation
   std::uint64_t wall_ns = 0;      ///< whole run() wall clock
   std::uint64_t scans = 0;        ///< connectivity scan ticks executed
-  /// Staged exchange plans invalidated by a buffer-revision mismatch at
-  /// commit and re-planned through the serial pump (see Scenario docs);
-  /// expected to be zero in normal operation.
-  std::uint64_t exchange_replans = 0;
 };
 
 struct RunResult {

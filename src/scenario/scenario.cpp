@@ -12,7 +12,6 @@
 #include "util/assert.h"
 #include "util/logging.h"
 #include "util/summary.h"
-#include "util/thread_pool.h"
 #include "util/timing.h"
 
 namespace dtnic::scenario {
@@ -115,13 +114,6 @@ void Scenario::build() {
     contacts_ = std::move(scripted);
   }
   transfers_ = std::make_unique<net::TransferManager>(sim_, cfg_.radio.bitrate_bps);
-
-  exchange_threads_ = cfg_.exchange_threads == 0 ? util::ThreadPool::default_thread_count()
-                                                 : cfg_.exchange_threads;
-  if (exchange_threads_ > 1) {
-    exchange_pool_ = std::make_unique<util::ThreadPool>(exchange_threads_ - 1);
-    host_locks_ = std::make_unique<std::mutex[]>(cfg_.num_nodes);
-  }
 
   // Hosts, mobility, behaviors, routers.
   const mobility::Area area{cfg_.area_side_m, cfg_.area_side_m};
@@ -319,13 +311,10 @@ void Scenario::handle_link_up(NodeId a, NodeId b, double distance_m) {
 void Scenario::handle_link_down(NodeId a, NodeId b) {
   const util::ScopedTimer timer(routing_pre_ns_);
   const SimTime now = sim_.now();
-  // Per-contact bookkeeping ends with the contact; the toggle included, so
-  // the maps stay bounded by the live link count under churn (see the
-  // exchange_state_tracked probe) and each fresh contact starts from the
-  // same direction-alternation state.
-  link_toggle_.erase(pair_key(a, b));
-  refused_this_contact_.erase(pair_key(a, b));
-  idle_memo_.erase(pair_key(a, b));
+  // Per-contact bookkeeping ends with the contact, so it stays bounded by
+  // the live link count under churn (see the exchange_state_tracked probe)
+  // and each fresh contact starts from the same direction-alternation state.
+  link_exchange_.erase(pair_key(a, b));
   transfers_->link_down(a, b);  // aborts any in-flight transfer first
   Host& ha = host(a);
   Host& hb = host(b);
@@ -337,20 +326,16 @@ void Scenario::handle_link_down(NodeId a, NodeId b) {
 void Scenario::pump(NodeId a, NodeId b) {
   if (!transfers_->link_exists(a, b) || transfers_->link_busy(a, b)) return;
   const std::uint64_t key = pair_key(a, b);
+  LinkExchange& link = link_exchange_[key];
   // Skip links whose endpoints' buffers are unchanged since the last pump
   // found nothing to send.
   const std::pair<std::uint64_t, std::uint64_t> revisions{
       host(a).buffer().revision(), host(b).buffer().revision()};
-  if (auto memo = idle_memo_.find(key);
-      memo != idle_memo_.end() && memo->second == revisions) {
-    return;
-  }
-  bool& toggle = link_toggle_[key];
+  if (link.idle_revisions == revisions) return;
   const SimTime now = sim_.now();
 
-  Host* first = &host(toggle ? a : b);
-  Host* second = &host(toggle ? b : a);
-  std::unordered_set<std::uint64_t>& refused = refused_this_contact_[key];
+  Host* first = &host(link.toggle ? a : b);
+  Host* second = &host(link.toggle ? b : a);
   for (Host* sender : {first, second}) {
     Host* receiver = sender == first ? second : first;
     const std::uint64_t direction_bit = sender->id() < receiver->id() ? 0 : 1;
@@ -359,13 +344,13 @@ void Scenario::pump(NodeId a, NodeId b) {
       const std::uint64_t offer_key =
           (static_cast<std::uint64_t>(plan.message.value()) << 1) | direction_bit;
       // A refused offer is not re-tried within the same contact.
-      if (refused.count(offer_key)) continue;
+      if (link.refused.count(offer_key)) continue;
       const msg::Message* m = sender->buffer().find(plan.message);
       if (m == nullptr) continue;
       const auto decision = receiver->router().accept(*receiver, *sender, *m, plan, now);
       if (decision != routing::AcceptDecision::kAccept) {
         fanout_.on_refused(sender->id(), receiver->id(), *m, decision);
-        refused.insert(offer_key);
+        link.refused.insert(offer_key);
         continue;
       }
       pending_[key] = PendingTransfer{plan, *m};
@@ -373,181 +358,17 @@ void Scenario::pump(NodeId a, NodeId b) {
       const bool started =
           transfers_->start(sender->id(), receiver->id(), plan.message, m->size_bytes());
       DTNIC_ASSERT(started);
-      toggle = !toggle;
-      idle_memo_.erase(key);
+      link.toggle = !link.toggle;
+      link.idle_revisions.reset();
       return;
     }
   }
-  idle_memo_[key] = revisions;  // nothing to send until a buffer changes
+  link.idle_revisions = revisions;  // nothing to send until a buffer changes
 }
 
 void Scenario::pump_all_idle() {
-  if (exchange_threads_ <= 1) {
-    // Serial exchange: the fused plan+commit loop is accounted as commit
-    // time (it applies mutations inline); the plan counter stays zero.
-    const util::ScopedTimer timer(routing_commit_ns_);
-    for (const auto& [a, b] : contacts_->connected_pairs()) pump(a, b);
-    return;
-  }
-  {
-    const util::ScopedTimer timer(routing_plan_ns_);
-    plan_staged();
-  }
-  const util::ScopedTimer timer(routing_commit_ns_);
-  commit_staged();
-}
-
-void Scenario::append_neighbor_ids(NodeId id, std::vector<std::uint32_t>& out) const {
-  if (connectivity_ != nullptr) {
-    connectivity_->for_each_neighbor(id, [&out](NodeId n) { out.push_back(n.value()); });
-    return;
-  }
-  for (NodeId n : contacts_->neighbors_of(id)) out.push_back(n.value());
-}
-
-void Scenario::plan_staged() {
-  staged_pairs_ = contacts_->connected_pairs();
-  const std::size_t n = staged_pairs_.size();
-  if (staged_.size() < n) staged_.resize(n);
-  if (n == 0) return;
-  const std::size_t tasks = std::min(exchange_threads_, n);
-  if (exchange_scratch_.size() < tasks) exchange_scratch_.resize(tasks);
-  const auto plan_range = [this, n, tasks](std::size_t t) {
-    const std::size_t begin = n * t / tasks;
-    const std::size_t end = n * (t + 1) / tasks;
-    for (std::size_t i = begin; i < end; ++i) stage_link(i, t);
-  };
-  if (exchange_pool_ != nullptr) {
-    exchange_pool_->co_run(tasks, plan_range);
-  } else {
-    for (std::size_t t = 0; t < tasks; ++t) plan_range(t);
-  }
-}
-
-void Scenario::stage_link(std::size_t index, std::size_t worker) {
-  const auto [a, b] = staged_pairs_[index];
-  StagedLink& link = staged_[index];
-  link.a = a;
-  link.b = b;
-  link.key = pair_key(a, b);
-  link.offers.clear();
-  link.gated = false;
-  link.idle = false;
-  link.accepted = false;
-  // The same gates as the serial pump, evaluated against state frozen for
-  // the tick: no transfer starts (and no buffer mutates) until commit, and
-  // commit touches each link exactly once, so plan-time gates hold.
-  if (!transfers_->link_exists(a, b) || transfers_->link_busy(a, b)) {
-    link.gated = true;
-    return;
-  }
-  Host& ha = host(a);
-  Host& hb = host(b);
-  link.revisions = {ha.buffer().revision(), hb.buffer().revision()};
-  if (auto memo = idle_memo_.find(link.key);
-      memo != idle_memo_.end() && memo->second == link.revisions) {
-    link.idle = true;
-    return;
-  }
-  bool toggle = false;  // the serial pump's operator[] default
-  if (auto it = link_toggle_.find(link.key); it != link_toggle_.end()) toggle = it->second;
-  const std::unordered_set<std::uint64_t>* refused = nullptr;
-  if (auto it = refused_this_contact_.find(link.key); it != refused_this_contact_.end()) {
-    refused = &it->second;
-  }
-
-  ExchangeScratch& scratch = exchange_scratch_[worker];
-  // Exclusive lock over every node whose router state planning may touch:
-  // the endpoints (planner member scratch, strength memo caches, PRoPHET
-  // aging) and both current neighborhoods (the incentive promise queries
-  // neighbor strength caches). Sorted acquisition order makes overlapping
-  // lock sets deadlock-free; outputs are unaffected because every planned
-  // value is a deterministic function of inputs that cannot change within
-  // the tick — the locks only serialize cache/scratch access.
-  scratch.lock_ids.clear();
-  scratch.lock_ids.push_back(a.value());
-  scratch.lock_ids.push_back(b.value());
-  append_neighbor_ids(a, scratch.lock_ids);
-  append_neighbor_ids(b, scratch.lock_ids);
-  std::sort(scratch.lock_ids.begin(), scratch.lock_ids.end());
-  scratch.lock_ids.erase(std::unique(scratch.lock_ids.begin(), scratch.lock_ids.end()),
-                         scratch.lock_ids.end());
-  for (const std::uint32_t id : scratch.lock_ids) host_locks_[id].lock();
-
-  const SimTime now = sim_.now();
-  Host* first = &host(toggle ? a : b);
-  Host* second = &host(toggle ? b : a);
-  for (Host* sender : {first, second}) {
-    Host* receiver = sender == first ? second : first;
-    const std::uint64_t direction_bit = sender->id() < receiver->id() ? 0 : 1;
-    sender->router().plan_into(*sender, *receiver, now, scratch.plans);
-    for (const routing::ForwardPlan& plan : scratch.plans) {
-      const std::uint64_t offer_key =
-          (static_cast<std::uint64_t>(plan.message.value()) << 1) | direction_bit;
-      // Pre-pump refusals only: one pump never re-walks an offer key, so the
-      // serial loop's walk-time inserts cannot influence its own decisions.
-      if (refused != nullptr && refused->count(offer_key)) continue;
-      const msg::Message* m = sender->buffer().find(plan.message);
-      if (m == nullptr) continue;
-      const auto decision = receiver->router().accept(*receiver, *sender, *m, plan, now);
-      link.offers.push_back(
-          StagedOffer{plan, offer_key, sender->id(), receiver->id(), decision});
-      if (decision == routing::AcceptDecision::kAccept) {
-        link.accepted = true;
-        break;
-      }
-    }
-    if (link.accepted) break;
-  }
-
-  for (auto it = scratch.lock_ids.rbegin(); it != scratch.lock_ids.rend(); ++it) {
-    host_locks_[*it].unlock();
-  }
-}
-
-void Scenario::commit_staged() {
-  const std::size_t n = staged_pairs_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    StagedLink& link = staged_[i];
-    if (link.gated) continue;  // the serial pump's early return
-    // Revision validation: a staged outcome is only replayed against the
-    // exact buffer states it was planned from. Commit itself never mutates
-    // a buffer (transfers complete later, via scheduled events), so a
-    // mismatch can only come from an external mutation between the stages —
-    // re-plan the link through the serial pump.
-    const std::pair<std::uint64_t, std::uint64_t> revisions{
-        host(link.a).buffer().revision(), host(link.b).buffer().revision()};
-    if (revisions != link.revisions) {
-      ++exchange_replans_;
-      pump(link.a, link.b);
-      continue;
-    }
-    if (link.idle) continue;
-    bool& toggle = link_toggle_[link.key];
-    std::unordered_set<std::uint64_t>& refused = refused_this_contact_[link.key];
-    bool started_transfer = false;
-    for (const StagedOffer& offer : link.offers) {
-      Host& sender = host(offer.from);
-      Host& receiver = host(offer.to);
-      const msg::Message* m = sender.buffer().find(offer.plan.message);
-      DTNIC_ASSERT(m != nullptr);  // revision matched: contents are as planned
-      if (offer.decision != routing::AcceptDecision::kAccept) {
-        fanout_.on_refused(sender.id(), receiver.id(), *m, offer.decision);
-        refused.insert(offer.offer_key);
-        continue;
-      }
-      pending_[link.key] = PendingTransfer{offer.plan, *m};
-      fanout_.on_transfer_started(sender.id(), receiver.id(), *m, offer.plan.role);
-      const bool started = transfers_->start(sender.id(), receiver.id(),
-                                             offer.plan.message, m->size_bytes());
-      DTNIC_ASSERT(started);
-      toggle = !toggle;
-      idle_memo_.erase(link.key);
-      started_transfer = true;
-      break;
-    }
-    if (!started_transfer) idle_memo_[link.key] = link.revisions;
-  }
+  const util::ScopedTimer timer(exchange_ns_);
+  for (const auto& [a, b] : contacts_->connected_pairs()) pump(a, b);
 }
 
 void Scenario::handle_transfer_complete(const net::TransferManager::Transfer& t,
@@ -798,10 +619,8 @@ RunResult Scenario::run() {
   result.total_energy_j = energy;
 
   result.timing.routing_pre_ns = routing_pre_ns_;
-  result.timing.routing_plan_ns = routing_plan_ns_;
-  result.timing.routing_commit_ns = routing_commit_ns_;
-  result.timing.routing_ns = routing_pre_ns_ + routing_plan_ns_ + routing_commit_ns_;
-  result.timing.exchange_replans = exchange_replans_;
+  result.timing.routing_commit_ns = exchange_ns_;
+  result.timing.routing_ns = routing_pre_ns_ + exchange_ns_;
   result.timing.transfer_ns = transfer_ns_;
   result.timing.workload_ns = workload_ns_;
   if (connectivity_ != nullptr) {

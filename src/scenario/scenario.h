@@ -1,7 +1,7 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -24,7 +24,6 @@
 #include "scenario/result.h"
 #include "sim/simulator.h"
 #include "stats/metrics.h"
-#include "util/thread_pool.h"
 
 /// \file scenario.h
 /// Wires every subsystem into one runnable world: mobility + connectivity
@@ -63,20 +62,11 @@ class Scenario {
   /// The link/transfer bookkeeping (introspection for leak probes).
   [[nodiscard]] net::TransferManager& transfers() { return *transfers_; }
 
-  /// Leak probe for the per-link exchange bookkeeping: total entries across
-  /// the toggle / refused-this-contact / idle-memo maps. Every map is erased
-  /// on link-down, so this is bounded by 3x the live link count no matter
-  /// how many contacts have churned through (the companion of the
-  /// TransferManager links_tracked probe).
-  [[nodiscard]] std::size_t exchange_state_tracked() const {
-    return link_toggle_.size() + refused_this_contact_.size() + idle_memo_.size();
-  }
-
-  /// Times the commit stage found a stale staged plan and re-ran the serial
-  /// pump inline. Zero in a pure exchange tick (commit never touches
-  /// buffers); nonzero only if something mutated a buffer between the plan
-  /// and commit stages.
-  [[nodiscard]] std::uint64_t exchange_replans() const { return exchange_replans_; }
+  /// Leak probe for the per-link exchange bookkeeping: one record per link
+  /// the pump has visited, erased on link-down, so this is bounded by the
+  /// live link count no matter how many contacts have churned through (the
+  /// companion of the TransferManager links_tracked probe).
+  [[nodiscard]] std::size_t exchange_state_tracked() const { return link_exchange_.size(); }
 
   /// Sum of all ledgers right now (token conservation checks).
   [[nodiscard]] double total_tokens() const;
@@ -97,17 +87,8 @@ class Scenario {
   void handle_transfer_abort(const net::TransferManager::Transfer& t);
   /// Try to start the next transfer on an idle link; alternates direction.
   void pump(routing::NodeId a, routing::NodeId b);
+  /// The exchange tick: pump every connected pair in connected_pairs() order.
   void pump_all_idle();
-
-  // Parallel exchange (DESIGN.md "Parallel exchange phase"): pump_all_idle
-  // splits into a read-only plan stage fanned across exchange_threads and a
-  // serial commit stage that replays the staged outcomes in the exact
-  // serial pair order — bit-identical to the serial pump by construction.
-  void plan_staged();
-  void commit_staged();
-  void stage_link(std::size_t index, std::size_t worker);
-  /// Append the node ids currently connected to \p id to \p out.
-  void append_neighbor_ids(routing::NodeId id, std::vector<std::uint32_t>& out) const;
 
   // Workload.
   void schedule_next_message(std::size_t index);
@@ -151,82 +132,39 @@ class Scenario {
   net::ContactTrace trace_;
 
   /// Per-phase wall-clock accumulators (util::ScopedTimer; exclusive).
-  /// The routing phase is split into three sub-counters that partition it:
+  /// The routing phase is split into two sub-counters that partition it:
   /// pre (contact handlers: pre-exchange/link-up/down and their inline
-  /// pumps), plan (the exchange planning stage of pump_all_idle), and
-  /// commit (the serial replay; the fused serial loop counts here too).
+  /// pumps) and exchange (the pump_all_idle tick).
   std::uint64_t routing_pre_ns_ = 0;
-  std::uint64_t routing_plan_ns_ = 0;
-  std::uint64_t routing_commit_ns_ = 0;
+  std::uint64_t exchange_ns_ = 0;
   std::uint64_t transfer_ns_ = 0;
   std::uint64_t workload_ns_ = 0;
-  std::uint64_t exchange_replans_ = 0;
 
   struct PendingTransfer {
     routing::ForwardPlan plan;
     msg::Message copy;  ///< snapshot taken when the transfer started
   };
   std::unordered_map<std::uint64_t, PendingTransfer> pending_;
-  std::unordered_map<std::uint64_t, bool> link_toggle_;
-  /// Offers refused during the current contact, keyed by link; an offer is
-  /// not retried until the next contact (message id << 1 | direction bit).
-  std::unordered_map<std::uint64_t, std::unordered_set<std::uint64_t>> refused_this_contact_;
-  /// Buffer revisions of both endpoints at the last fruitless pump; the link
-  /// is not re-planned until either endpoint's buffer changes.
-  std::unordered_map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> idle_memo_;
+
+  /// What the pump remembers about one link for the rest of its contact.
+  struct LinkExchange {
+    /// Which endpoint offers first; flips after every started transfer.
+    bool toggle = false;
+    /// Buffer revisions of both endpoints at the last fruitless pump; the
+    /// link is not re-planned until either endpoint's buffer changes.
+    std::optional<std::pair<std::uint64_t, std::uint64_t>> idle_revisions;
+    /// Offers refused during this contact (message id << 1 | direction bit);
+    /// a refused offer is not retried until the next contact.
+    std::unordered_set<std::uint64_t> refused;
+  };
+  /// Keyed by pair_key; an entry ends with its contact (handle_link_down).
+  std::unordered_map<std::uint64_t, LinkExchange> link_exchange_;
 
   /// Contact-controller scratch, reused across contacts so the per-contact
   /// pre-exchange/plan path allocates nothing at steady state.
   std::vector<routing::Host*> neighbors_a_scratch_;
   std::vector<routing::Host*> neighbors_b_scratch_;
   std::vector<routing::ForwardPlan> plan_scratch_;
-
-  // --- staged exchange state ------------------------------------------------
-  /// One offer the plan stage walked that had an observable outcome: either
-  /// a refusal (replayed as fanout + refused-set insert) or the accepted
-  /// transfer. Offers skipped with no side effect (already refused this
-  /// contact, message gone) are not recorded.
-  struct StagedOffer {
-    routing::ForwardPlan plan;
-    std::uint64_t offer_key = 0;
-    routing::NodeId from;
-    routing::NodeId to;
-    routing::AcceptDecision decision = routing::AcceptDecision::kRefused;
-  };
-  /// The staged outcome of one link's pump, plus the buffer revisions it was
-  /// planned against. Commit validates the revisions before replaying; on a
-  /// mismatch the serial pump re-plans the link inline.
-  struct StagedLink {
-    routing::NodeId a;
-    routing::NodeId b;
-    std::uint64_t key = 0;
-    std::pair<std::uint64_t, std::uint64_t> revisions{0, 0};
-    bool gated = false;     ///< no link / link busy at plan time: no-op
-    bool idle = false;      ///< idle-memo hit at plan time: no-op
-    bool accepted = false;  ///< offers ends with the accepted transfer
-    std::vector<StagedOffer> offers;  ///< serial walk order
-  };
-  /// Per-worker planning scratch, one slot per co_run task.
-  struct ExchangeScratch {
-    std::vector<routing::ForwardPlan> plans;
-    std::vector<std::uint32_t> lock_ids;
-  };
-  std::size_t exchange_threads_ = 1;  ///< resolved (0 = auto) at build()
-  /// Dedicated plan-stage pool of exchange_threads_ - 1 workers; never the
-  /// shared pool, whose queue may hold whole-seed experiment jobs (a nested
-  /// co_run wait there can deadlock). Null when the exchange is serial.
-  std::unique_ptr<util::ThreadPool> exchange_pool_;
-  /// One mutex per host: a plan task locks {a, b} and both neighborhoods
-  /// (sorted, so acquisition is deadlock-free) before planning link (a, b),
-  /// serializing the routers' memo caches and member scratch without
-  /// affecting outputs — every planned value is a pure function of state
-  /// frozen for the tick.
-  std::unique_ptr<std::mutex[]> host_locks_;
-  std::vector<std::pair<routing::NodeId, routing::NodeId>> staged_pairs_;
-  std::vector<StagedLink> staged_;
-  std::vector<ExchangeScratch> exchange_scratch_;
-
-  friend struct ScenarioTestPeer;
 
   stats::TimeSeries malicious_rating_series_;
   stats::TimeSeries mean_tokens_series_;

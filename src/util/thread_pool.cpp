@@ -36,30 +36,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::co_run(std::size_t tasks, const std::function<void(std::size_t)>& fn) {
-  if (tasks == 0) return;
-  std::vector<std::future<void>> pending;
-  pending.reserve(tasks - 1);
-  for (std::size_t i = 1; i < tasks; ++i) {
-    pending.push_back(submit([&fn, i] { fn(i); }));
-  }
-  std::exception_ptr first;
-  try {
-    fn(0);
-  } catch (...) {
-    first = std::current_exception();
-  }
-  // Wait for everything even on failure — the lambdas reference fn.
-  for (auto& f : pending) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
-}
-
 std::size_t ThreadPool::default_thread_count() {
   if (const char* env = std::getenv("DTNIC_THREADS")) {
     char* end = nullptr;

@@ -52,14 +52,6 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Run fn(0) … fn(tasks - 1) to completion, with task 0 executed on the
-  /// calling thread while the rest run on the pool — so a pool of (n - 1)
-  /// workers saturates n cores and the caller never just blocks. Returns
-  /// after every task finished; if any threw, the first exception (by task
-  /// index) is rethrown. Must not be called from a task already running on
-  /// this pool (the inner wait could deadlock on a saturated queue).
-  void co_run(std::size_t tasks, const std::function<void(std::size_t)>& fn);
-
   /// DTNIC_THREADS if set to a positive integer, else hardware_concurrency
   /// (else 1 when the hardware cannot be queried).
   [[nodiscard]] static std::size_t default_thread_count();

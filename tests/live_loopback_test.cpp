@@ -247,18 +247,31 @@ class ForgedPeer {
     return target_.rejected_frames() - before;
   }
 
-  /// The first OFFER among the frames the target has sent this peer so far.
-  std::optional<wire::OfferFrame> next_offer() {
+  /// The next frame of type F the target has sent this peer; frames of
+  /// other types before it are discarded.
+  template <typename F>
+  std::optional<F> next() {
     while (auto datagram = socket_.receive()) {
       std::span<const std::uint8_t> rest(datagram->bytes);
       while (!rest.empty()) {
         const auto decoded = wire::decode_frame(rest);
         if (!decoded) break;
         rest = rest.subspan(decoded->consumed);
-        if (const auto* offer = std::get_if<wire::OfferFrame>(&decoded->frame)) return *offer;
+        if (const auto* f = std::get_if<F>(&decoded->frame)) return *f;
       }
     }
     return std::nullopt;
+  }
+
+  /// Accept \p offer and let the target send every DATA chunk; true once
+  /// the last chunk has arrived here.
+  bool accept_and_receive(const wire::OfferFrame& offer, SimTime& now) {
+    const wire::OfferReplyFrame reply{offer.message, routing::AcceptDecision::kAccept};
+    if (deliver(reply, now) != 0) return false;
+    std::optional<wire::DataFrame> last;
+    while (auto chunk = next<wire::DataFrame>()) last = chunk;
+    return last.has_value() && last->message == offer.message &&
+           last->chunk_index + 1 == last->chunk_count;
   }
 
   [[nodiscard]] NodeId id() const { return node_; }
@@ -349,10 +362,13 @@ TEST(LiveLoopback, ForgedReceiptsCreditAtMostThePlannedBound) {
   // A digest with "news" (keyword 0) as a direct interest makes the forger a
   // destination: a plans and offers the message to it.
   ASSERT_EQ(forger.deliver(digest_of(forger.id(), 1, 0.5), now), 0u);
-  const std::optional<wire::OfferFrame> offer = forger.next_offer();
+  const std::optional<wire::OfferFrame> offer = forger.next<wire::OfferFrame>();
   ASSERT_TRUE(offer.has_value());
   ASSERT_EQ(offer->message, id);
   ASSERT_EQ(offer->role, routing::TransferRole::kDestination);
+  // The forger accepts and a sends its DATA, so the receipts below answer a
+  // transfer a has carried out.
+  ASSERT_TRUE(forger.accept_and_receive(*offer, now));
   const double before = a.tokens();
 
   // Claims no honest receiver can make are dropped whole: nothing credited,
@@ -377,6 +393,51 @@ TEST(LiveLoopback, ForgedReceiptsCreditAtMostThePlannedBound) {
   const double settled = a.tokens();
   EXPECT_EQ(forger.deliver(receipt(routing::TransferRole::kDestination, 1e9), now), 0u);
   EXPECT_EQ(a.tokens(), settled);
+}
+
+TEST(LiveLoopback, ReceiptBeforeDataCreditsNothing) {
+  LiveNode a(base_config(1));
+  SimTime now = SimTime::zero();
+  ForgedPeer forger(a, 7);
+  ASSERT_TRUE(forger.linked(now));
+  const msg::MessageId id = a.publish({"news"}, now, 1024, msg::Priority::kHigh, 1.0);
+  ASSERT_EQ(forger.deliver(digest_of(forger.id(), 1, 0.5), now), 0u);
+  const std::optional<wire::OfferFrame> offer = forger.next<wire::OfferFrame>();
+  ASSERT_TRUE(offer.has_value());
+  ASSERT_EQ(offer->message, id);
+  const double before = a.tokens();
+
+  // A well-formed receipt that answers the OFFER itself: the forger has
+  // accepted nothing and received nothing, so a pays out nothing.
+  const wire::ReceiptFrame receipt{id, offer->role, 0.5};
+  EXPECT_EQ(forger.deliver(receipt, now), 1u);
+  EXPECT_EQ(a.tokens(), before);
+
+  // The same receipt settles once the forger has accepted and received the
+  // DATA (0.5 is below the promise + tag_reward_cap bound).
+  ASSERT_TRUE(forger.accept_and_receive(*offer, now));
+  EXPECT_EQ(forger.deliver(receipt, now), 0u);
+  EXPECT_DOUBLE_EQ(a.tokens() - before, 0.5);
+}
+
+TEST(LiveLoopback, ReceiveSideEvictionsAreReportedAsDrops) {
+  LiveNode a(base_config(1));
+  LiveNodeConfig receiver = base_config(2);
+  receiver.buffer_capacity_bytes = 1500;  // room for one 1024-byte copy
+  LiveNode b(receiver);
+  SimTime now = SimTime::zero();
+  b.subscribe({"news"}, now);
+  a.add_seed_peer(NodeId(2), Endpoint{"127.0.0.1", b.local_port()});
+  ASSERT_TRUE(run_until(a, b, now, 5.0,
+                        [&] { return a.link_up(NodeId(2)) && b.link_up(NodeId(1)); }));
+
+  a.publish({"news"}, now, 1024, msg::Priority::kMedium, 1.0);
+  a.publish({"news"}, now, 1024, msg::Priority::kMedium, 1.0);
+  ASSERT_TRUE(run_until(a, b, now, 10.0,
+                        [&] { return b.metrics().delivered_unique() == 2; }));
+  // The second copy to arrive evicted the first, and the eviction is a drop.
+  EXPECT_EQ(b.host().buffer().size(), 1u);
+  EXPECT_EQ(b.metrics().dropped_buffer(), 1u);
 }
 
 TEST(LiveLoopback, TraceReplayReproducesLiveCounters) {

@@ -104,26 +104,29 @@ TEST(ConfigIo, ProgrammaticSetHasNoLineNumber) {
 }
 
 TEST(ConfigIo, ShardThreadsIsAnUnknownKey) {
-  // The contact scan has a single serial path; the key of its removed shard
-  // knob (assembled here so the removed name appears nowhere in the tree) is
-  // rejected like any unknown key, from a config file and from --set alike.
-  const std::string key = std::string("shard") + "_threads";
-  const std::pair<std::string, const char*> cases[] = {
-      {"nodes = 42\n" + key + " = 4\n", "line 2"},
-      {"nodes = 42; " + key + " = 1", "line 1"},
-  };
-  for (const auto& [text, line] : cases) {
-    try {
-      (void)apply_config(ScenarioConfig::paper_defaults(), util::Config::parse(text));
-      FAIL() << "expected std::invalid_argument for " << text;
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("unknown scenario config key: '" + key + "'"), std::string::npos)
-          << what;
-      EXPECT_NE(what.find(line), std::string::npos) << what;
+  // The contact scan and the exchange each have a single serial path; the
+  // keys of their removed thread knobs (assembled here so the removed names
+  // appear nowhere in the tree) are rejected like any unknown key, from a
+  // config file and from --set alike.
+  for (const std::string key : {std::string("shard") + "_threads",
+                                 std::string("exchange") + "_threads"}) {
+    const std::pair<std::string, const char*> cases[] = {
+        {"nodes = 42\n" + key + " = 4\n", "line 2"},
+        {"nodes = 42; " + key + " = 1", "line 1"},
+    };
+    for (const auto& [text, line] : cases) {
+      try {
+        (void)apply_config(ScenarioConfig::paper_defaults(), util::Config::parse(text));
+        FAIL() << "expected std::invalid_argument for " << text;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unknown scenario config key: '" + key + "'"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find(line), std::string::npos) << what;
+      }
     }
+    EXPECT_EQ(to_config_text(ScenarioConfig::paper_defaults()).find(key), std::string::npos);
   }
-  EXPECT_EQ(to_config_text(ScenarioConfig::paper_defaults()).find(key), std::string::npos);
 }
 
 TEST(ConfigIo, RoundTripsExactly) {
